@@ -47,7 +47,7 @@ from .wallcalc import (
     project,
     relabel_invariance,
 )
-from .homology import ChainComplex, RationalFunction, betti_qt, euler_check, rank_qt, torsion_order
+from .homology import ChainComplex, betti_qt, euler_check, rank_qt, torsion_order
 from .search import (
     DEFAULT_BOUNDS,
     MoveSpec,

@@ -23,7 +23,7 @@ from .forms import (
     h2_sum,
     matrix_from_json,
 )
-from .homology import ChainComplex, rank_qt, torsion_order
+from .homology import ChainComplex, torsion_order
 from .laurent import LaurentPoly, assoc_eq
 from .search import (
     DEFAULT_BOUNDS,
@@ -149,14 +149,17 @@ def _cmd_homology(args) -> int:
     torsion = []
     for d in complex_.differentials:
         rows, cols = len(d), len(d[0]) if d else 0
-        if rows == cols and rows > 0 and rank_qt(d) == rows:
-            torsion.append(torsion_order(d).to_json())
-        else:
-            torsion.append(None)
+        order = None
+        if rows == cols and rows > 0:
+            try:
+                order = torsion_order(d).to_json()
+            except ValueError:  # not of full rank: the cokernel is not torsion
+                pass
+        torsion.append(order)
     payload = {
         "ranks": [str(r) for r in complex_.ranks],
         "betti_qt": [str(b) for b in betti],
-        "euler_check": complex_.euler_check(),
+        "euler_check": complex_.euler_check(betti),
         "torsion_orders": torsion,
     }
     _emit(payload, args.output)

@@ -91,35 +91,80 @@ def block_diag(*blocks: Matrix) -> Matrix:
 
 
 def determinant(m) -> LaurentPoly:
-    """Exact determinant by Laplace expansion memoized over column subsets."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Bareiss updates each lower row as (p * a_ij - a_ic * top_j) / p_prev,
+    with p the current pivot and top the pivot row; the entries stay minors
+    of the input, so every division is exact and the last pivot is the
+    determinant itself, up to the sign of the row swaps. Each row keeps
+    its own divisor, the pivot that last divided it. A row whose entry in
+    the pivot column is zero would only be rescaled by p / p_prev, and
+    such rescalings telescope, so it is left untouched and divided by its
+    own divisor at its next update; a pivot row is brought up to date only
+    when it is chosen. Untouched blocks of a block-diagonal form thus cost
+    nothing until their turn.
+    """
     rows = m.entries if isinstance(m, HermitianForm) else tuple(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return ONE
-    memo: dict[int, LaurentPoly] = {0: ONE}
+    rank, pivot, sign = _eliminate(rows, square=True)
+    if rank < n:
+        return ZERO
+    return pivot if sign > 0 else -pivot
 
-    def rec(colmask: int) -> LaurentPoly:
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        row = rows[n - colmask.bit_count()]
-        acc = ZERO
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not colmask & bit:
-                continue
-            a = row[j]
-            if not a.is_zero:
-                term = a * rec(colmask & ~bit)
-                acc = acc + term if sign > 0 else acc - term
+
+def _eliminate(rows: Matrix, square: bool) -> tuple[int, LaurentPoly, int]:
+    """Fraction-free row echelon form (see `determinant`): rank, last pivot, swap sign.
+
+    The pivot of a column is its first nonzero entry at or below the
+    current row. A column without one is skipped, or ends the pass when
+    `square` is set, since the determinant is then zero.
+    """
+    work = [list(r) for r in rows]
+    height = len(work)
+    width = len(work[0]) if work else 0
+    divisors = [ONE] * height
+    rank, pivot, sign = 0, ONE, 1
+    for col in range(width):
+        if rank == height:
+            break
+        hits = [i for i in range(rank, height) if not work[i][col].is_zero]
+        if not hits:
+            if square:
+                break
+            continue
+        r = hits[0]
+        if r != rank:
+            work[rank], work[r] = work[r], work[rank]
+            divisors[rank], divisors[r] = divisors[r], divisors[rank]
             sign = -sign
-        memo[colmask] = acc
-        return acc
+        top = work[rank][col:]
+        d = divisors[rank]
+        if d != pivot:
+            top = [e if e.is_zero else _divide(e * pivot, d) for e in top]
+        pivot = top[0]
+        for i in hits[1:]:
+            row = work[i]
+            lead = row[col]
+            d = divisors[i]
+            row[col] = ZERO
+            for j in range(col + 1, width):
+                a, b = row[j], top[j - col]
+                if not (a.is_zero and b.is_zero):
+                    row[j] = _divide(pivot * a - lead * b, d)
+            divisors[i] = pivot
+        rank += 1
+    return rank, pivot, sign
 
-    return rec((1 << n) - 1)
+
+def _divide(num: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    if num.is_zero or d == ONE:
+        return num
+    q = num.divide_exact(d)
+    if q is None:
+        raise InternalCheckError("fraction-free elimination met an inexact division")
+    return q
 
 
 # -- domain types ----------------------------------------------------------
@@ -188,9 +233,16 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, dict) or "rank" not in obj or "entries" not in obj:
         raise ValueError("matrix must be an object with rank and entries")
-    n = int(obj["rank"])
+    try:
+        n = int(obj["rank"])
+    except (TypeError, ValueError):
+        raise ValueError(f"rank must be an integer, got {obj['rank']!r}") from None
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     flat = obj["entries"]
-    if not isinstance(flat, list) or len(flat) != n * n:
+    if not isinstance(flat, list):
+        raise ValueError("entries must be a list")
+    if len(flat) != n * n:
         raise ValueError(f"expected {n * n} entries for rank {n}, got {len(flat)}")
     polys = [LaurentPoly.from_json(e) for e in flat]
     return tuple(tuple(polys[i * n + j] for j in range(n)) for i in range(n))

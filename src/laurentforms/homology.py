@@ -2,9 +2,9 @@
 
 Homology over the ring itself is not computed in general; instead this
 module provides what the fixtures need: ranks over the fraction field
-(exact Gaussian elimination with rational-function entries), torsion
-orders of square presentation matrices (determinants up to units), and
-Euler characteristic cross-checks.
+(fraction-free Bareiss elimination, shared with `forms.determinant`),
+torsion orders of square presentation matrices (determinants up to
+units), and Euler characteristic cross-checks.
 
 Convention: d_i maps degree i to degree i-1 and matrices act on column
 vectors, so d_i has ranks[i-1] rows and ranks[i] columns. A complex with
@@ -13,89 +13,13 @@ modules in degrees 0..n stores [d_1, ..., d_n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .laurent import ONE, LaurentPoly
-from .forms import Matrix, as_matrix, determinant, mat_mul
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """A fraction num/den of ring elements with den nonzero.
-
-    Kept unreduced; equality is decided by cross-multiplication, which
-    is exact and needs no gcd.
-    """
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def __post_init__(self):
-        if self.den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p, ONE)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return self.num * other.den == other.num * self.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        raise TypeError("unreduced rational functions are not hashable")
+from .laurent import LaurentPoly
+from .forms import Matrix, _eliminate, as_matrix, mat_mul
 
 
 def rank_qt(m) -> int:
-    """Rank over the fraction field by exact Gaussian elimination."""
-    rows = [[RationalFunction.from_poly(e) for e in row] for row in _rows_of(m)]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col].is_zero:
-                continue
-            factor = rows[r][col] / pivot
-            for c in range(col, ncols):
-                rows[r][c] = rows[r][c] - factor * rows[rank][c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over the fraction field Q(t), by fraction-free elimination."""
+    return _eliminate(_rows_of(m), square=False)[0]
 
 
 def torsion_order(m) -> LaurentPoly:
@@ -109,9 +33,10 @@ def torsion_order(m) -> LaurentPoly:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("torsion order needs a square presentation matrix")
-    if rank_qt(rows) != n:
+    rank, pivot, _ = _eliminate(rows, square=True)
+    if rank != n:
         raise ValueError("presentation is not of full rank; cokernel is not torsion")
-    return determinant(rows).normalize_associate()[0]
+    return pivot.normalize_associate()[0]
 
 
 def _rows_of(m) -> Matrix:
@@ -161,9 +86,13 @@ class ChainComplex:
             rk[k] = rank_qt(self.differentials[k - 1])
         return [self.ranks[i] - rk[i] - rk[i + 1] for i in range(n + 1)]
 
-    def euler_check(self) -> bool:
-        """Alternating sums of module ranks and Betti numbers agree."""
-        betti = self.betti_qt()
+    def euler_check(self, betti: list[int] | None = None) -> bool:
+        """Alternating sums of module ranks and Betti numbers agree.
+
+        Takes Betti numbers already computed by `betti_qt`, if given.
+        """
+        if betti is None:
+            betti = self.betti_qt()
         lhs = sum((-1) ** i * r for i, r in enumerate(self.ranks))
         rhs = sum((-1) ** i * b for i, b in enumerate(betti))
         return lhs == rhs

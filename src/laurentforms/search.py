@@ -413,17 +413,6 @@ def _find_goal_move(
     return None
 
 
-def _all_moves(n: int, bounds: SearchBounds) -> Iterator[MoveSpec]:
-    box = _poly_box(bounds.transvection_degree, bounds.transvection_coeff)
-    for i, j in _index_pairs(n):
-        for p in box:
-            yield Transvection(i, j, p)
-    yield from _unit_scales(n, bounds)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield Swap(i, j)
-
-
 def _expand(entries: Matrix, bounds: SearchBounds) -> Iterator[tuple[MoveSpec, Matrix]]:
     """All (move, successor) pairs of a Hermitian state, deterministically.
 

@@ -155,7 +155,13 @@ class IntersectionEvent:
         for key in ("kind", "sign", "k"):
             if key not in obj:
                 raise ValueError(f"event is missing {key!r}")
-        return cls(str(obj["kind"]), int(obj["sign"]), int(obj["k"]))
+        try:
+            sign, k = int(obj["sign"]), int(obj["k"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"event sign and k must be integers, got {obj['sign']!r} and {obj['k']!r}"
+            ) from None
+        return cls(str(obj["kind"]), sign, k)
 
 
 @dataclass(frozen=True)
@@ -180,8 +186,14 @@ class SurfaceModel:
         for key in ("label", "euler", "events"):
             if key not in obj:
                 raise ValueError(f"surface is missing {key!r}")
+        if not isinstance(obj["events"], list):
+            raise ValueError("surface events must be a list")
         events = tuple(IntersectionEvent.from_json(e) for e in obj["events"])
-        return cls(str(obj["label"]), events, int(obj["euler"]))
+        try:
+            euler = int(obj["euler"])
+        except (TypeError, ValueError):
+            raise ValueError(f"euler must be an integer, got {obj['euler']!r}") from None
+        return cls(str(obj["label"]), events, euler)
 
 
 def mu(surface: SurfaceModel) -> WallClass:

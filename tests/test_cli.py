@@ -58,6 +58,12 @@ def test_check_rejects_non_hermitian(tmp_path):
     assert main(["check", form_path]) == 2
 
 
+def test_check_rejects_negative_rank(tmp_path, capsys):
+    path = write_json(tmp_path / "negative.json", {"rank": "-1", "entries": [{}]})
+    assert main(["check", path]) == 2
+    assert "rank must be nonnegative" in capsys.readouterr().err
+
+
 def test_check_prenormalize_flag(tmp_path, capsys):
     # Off-diagonal twisted by a unit: rejected plainly, accepted with the flag.
     twisted = {
@@ -106,6 +112,18 @@ def test_wall_unknown_event_kind(tmp_path):
     }
     path = write_json(tmp_path / "bad.json", surface)
     assert main(["wall", path]) == 2
+
+
+def test_wall_null_or_non_numeric_sign(tmp_path, capsys):
+    for sign, k in ((None, "0"), ("+1", "x")):
+        surface = {
+            "label": "bad",
+            "euler": "0",
+            "events": [{"kind": "torus_piercing", "sign": sign, "k": k}],
+        }
+        path = write_json(tmp_path / "bad.json", surface)
+        assert main(["wall", path]) == 2
+        assert "event sign and k must be integers" in capsys.readouterr().err
 
 
 def test_homology_command(tmp_path, capsys):

@@ -2,11 +2,9 @@ import pytest
 
 from laurentforms import (
     ChainComplex,
-    LaurentPoly,
     ONE,
     ONE_MINUS_T,
     ONE_MINUS_T_INV,
-    RationalFunction,
     ZERO,
     assoc_eq,
     determinant,
@@ -18,9 +16,6 @@ from laurentforms import (
 from laurentforms.forms import as_matrix, mat_mul
 
 from conftest import rand_matrix, rand_poly
-
-
-L = LaurentPoly
 
 
 def handle_complex() -> ChainComplex:
@@ -139,20 +134,6 @@ def _full_rank_matrix(rng, n):
         m = rand_matrix(rng, n, -1, 1, 2)
         if not determinant(m).is_zero:
             return m
-
-
-def test_rational_function_arithmetic():
-    half = RationalFunction(ONE, iota(2))
-    assert half + half == RationalFunction(ONE, ONE)
-    assert half * RationalFunction(iota(2), ONE) == RationalFunction(ONE, ONE)
-    assert (half - half).is_zero
-    t_frac = RationalFunction(ONE_MINUS_T, ONE_MINUS_T_INV)
-    # (1-t)/(1-t^-1) = -t, tested by cross multiplication
-    assert t_frac == RationalFunction(L({1: -1}), ONE)
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(ONE, ZERO)
-    with pytest.raises(ZeroDivisionError):
-        half / RationalFunction(ZERO, ONE)
 
 
 def test_integer_unimodular_lifts_to_ring_unit(rng):
