@@ -26,6 +26,7 @@ from .forms import (
     InternalCheckError,
     ReductionCertificate,
     ReductionVerdict,
+    ReplayMismatch,
     certify_reduction,
     congruence,
     det_congruence_check,
@@ -47,7 +48,7 @@ from .wallcalc import (
     project,
     relabel_invariance,
 )
-from .homology import ChainComplex, betti_qt, euler_check, rank_qt, torsion_order
+from .homology import ChainComplex, rank_qt, torsion_order
 from .search import (
     DEFAULT_BOUNDS,
     MoveSpec,

@@ -17,14 +17,13 @@ from typing import Optional, Sequence
 from .forms import (
     HermitianForm,
     InternalCheckError,
+    ReductionCertificate,
+    ReplayMismatch,
     certify_reduction,
-    congruence,
-    determinant,
     h2_sum,
     matrix_from_json,
 )
 from .homology import ChainComplex, torsion_order
-from .laurent import LaurentPoly, assoc_eq
 from .search import (
     DEFAULT_BOUNDS,
     SearchBounds,
@@ -191,36 +190,11 @@ def _cmd_replay(args) -> int:
     if isinstance(obj, dict) and "moves" in obj:
         return _replay_moves(obj, form)
     try:
-        if not isinstance(obj, dict):
-            raise ValueError("certificate must be an object")
-        for key in ("g", "c_list", "P", "det_canonical"):
-            if key not in obj:
-                raise ValueError(f"certificate is missing {key!r}")
-        g = int(obj["g"])
-        p = matrix_from_json(obj["P"])
-        det_canonical = LaurentPoly.from_json(obj["det_canonical"])
+        ReductionCertificate.from_json(obj, form)
     except ValueError as exc:
         raise InputError(f"{args.certificate}: {exc}") from exc
-    if len(p) != form.rank or form.rank != 2 * g:
-        raise InputError(
-            f"certificate rank {len(p)} / genus {g} does not match form rank {form.rank}"
-        )
-    if determinant(p).is_unit() is None:
-        print("replay mismatch: base change determinant is not a unit", file=sys.stderr)
-        return EXIT_REJECT
-    replayed = congruence(p, form)
-    target = h2_sum(g)
-    for i in range(form.rank):
-        for j in range(form.rank):
-            if replayed.entries[i][j] != target.entries[i][j]:
-                print(f"replay mismatch at entry ({i},{j})", file=sys.stderr)
-                return EXIT_REJECT
-    det_a = determinant(form)
-    if det_a.normalize_associate()[0] != det_canonical:
-        print("replay mismatch: recorded canonical determinant", file=sys.stderr)
-        return EXIT_REJECT
-    if not assoc_eq(det_a, determinant(target)):
-        print("replay mismatch: determinant not associate to target", file=sys.stderr)
+    except ReplayMismatch as exc:
+        print(f"replay mismatch: {exc}", file=sys.stderr)
         return EXIT_REJECT
     print("replay ok")
     return EXIT_OK

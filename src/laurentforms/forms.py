@@ -13,7 +13,7 @@ determinant identity det(A) = (1-t)^g (1-t^-1)^g up to units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .laurent import (
@@ -23,7 +23,6 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     UnitWitness,
-    assoc_eq,
     iota,
 )
 
@@ -32,6 +31,10 @@ Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 class InternalCheckError(RuntimeError):
     """A mathematically guaranteed internal check failed; indicates a defect."""
+
+
+class ReplayMismatch(Exception):
+    """A well-formed certificate that does not certify its form."""
 
 
 # -- plain matrix helpers over the ring ----------------------------------
@@ -230,15 +233,23 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
+def nonnegative_int_from_json(value, name: str) -> int:
+    """A nonnegative integer given as a decimal string or a JSON integer."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, dict) or "rank" not in obj or "entries" not in obj:
         raise ValueError("matrix must be an object with rank and entries")
-    try:
-        n = int(obj["rank"])
-    except (TypeError, ValueError):
-        raise ValueError(f"rank must be an integer, got {obj['rank']!r}") from None
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
+    n = nonnegative_int_from_json(obj["rank"], "rank")
     flat = obj["entries"]
     if not isinstance(flat, list):
         raise ValueError("entries must be a list")
@@ -250,34 +261,33 @@ def matrix_from_json(obj) -> Matrix:
 
 @dataclass(frozen=True)
 class BaseChange:
-    """An invertible matrix P over the ring, with det(P) = +-t^k certified."""
+    """An invertible matrix P over the ring, with det(P) = +-t^k certified.
 
-    rank: int
+    The constructor computes det(P) once and keeps its unit witness; it
+    raises ValueError when det(P) is not a unit.
+    """
+
     matrix: Matrix
-    determinant_witness: UnitWitness
+    determinant_witness: UnitWitness = field(init=False)
 
     def __post_init__(self):
-        if len(self.matrix) != self.rank:
-            raise ValueError("base change rank does not match its matrix")
         w = determinant(self.matrix).is_unit()
-        if w is None or w != self.determinant_witness:
-            raise ValueError("determinant witness does not certify the matrix")
-
-    @classmethod
-    def certify(cls, matrix: Matrix) -> BaseChange:
-        w = determinant(matrix).is_unit()
         if w is None:
             raise ValueError("matrix is not invertible over the ring")
-        return cls(len(matrix), matrix, w)
+        object.__setattr__(self, "determinant_witness", w)
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
 class ReductionCertificate:
     """A replayable reduction of a recognized form to the standard one.
 
-    Replaying congruence(P, form) must reproduce h2_sum(genus) entrywise,
-    and det(form) must be associate to (1-t)^g (1-t^-1)^g; both canonical
-    determinants are recorded.
+    The certificate gate (`_certificate_gate`) holds when det(P) is a unit,
+    congruence(P, form) is h2_sum(genus) entrywise, and det(form) is
+    associate to ((1-t)(1-t^-1))^g with canonical associate det_canonical.
     """
 
     form: HermitianForm
@@ -285,22 +295,10 @@ class ReductionCertificate:
     c_list: tuple[LaurentPoly, ...]
     reduction: BaseChange
     det_canonical: LaurentPoly
-    det_target_canonical: LaurentPoly
 
     def check(self) -> None:
-        """Re-verify every certificate gate; raise InternalCheckError on defect."""
-        g = self.genus
-        replay = congruence(self.reduction.matrix, self.form)
-        if replay.entries != h2_sum(g).entries:
-            raise InternalCheckError("certificate replay does not give the standard form")
-        det_a = determinant(self.form)
-        if det_a.normalize_associate()[0] != self.det_canonical:
-            raise InternalCheckError("recorded canonical determinant is wrong")
-        target = (ONE_MINUS_T * ONE_MINUS_T_INV) ** g
-        if target.normalize_associate()[0] != self.det_target_canonical:
-            raise InternalCheckError("recorded canonical target determinant is wrong")
-        if not assoc_eq(det_a, target):
-            raise InternalCheckError("determinant is not associate to the target")
+        """Re-run the certificate gate; raise ReplayMismatch if it fails."""
+        _certificate_gate(self.form, self.genus, self.reduction.matrix, self.det_canonical)
 
     def to_json(self) -> dict:
         return {
@@ -312,17 +310,58 @@ class ReductionCertificate:
 
     @classmethod
     def from_json(cls, obj, form: HermitianForm) -> ReductionCertificate:
+        """Parse a certificate of `form` and run the certificate gate on it.
+
+        Raises ValueError when the certificate is malformed or its rank or
+        genus does not fit the form, and ReplayMismatch when it is well
+        formed but fails the gate.
+        """
         if not isinstance(obj, dict):
             raise ValueError("certificate must be an object")
         for key in ("g", "c_list", "P", "det_canonical"):
             if key not in obj:
                 raise ValueError(f"certificate is missing {key!r}")
-        g = int(obj["g"])
+        g = nonnegative_int_from_json(obj["g"], "genus g")
+        if not isinstance(obj["c_list"], list):
+            raise ValueError("c_list must be a list")
         cs = tuple(LaurentPoly.from_json(c) for c in obj["c_list"])
         p = matrix_from_json(obj["P"])
         det_canonical = LaurentPoly.from_json(obj["det_canonical"])
-        target = ((ONE_MINUS_T * ONE_MINUS_T_INV) ** g).normalize_associate()[0]
-        return cls(form, g, cs, BaseChange.certify(p), det_canonical, target)
+        if len(p) != form.rank or form.rank != 2 * g or len(cs) != g:
+            raise ValueError(
+                f"certificate rank {len(p)} / genus {g} / {len(cs)} witnesses "
+                f"does not match form rank {form.rank}"
+            )
+        reduction, _ = _certificate_gate(form, g, p, det_canonical)
+        return cls(form, g, cs, reduction, det_canonical)
+
+
+def _certificate_gate(
+    a: HermitianForm, g: int, p: Matrix, det_canonical: Optional[LaurentPoly] = None
+) -> tuple[BaseChange, LaurentPoly]:
+    """The conditions behind every accept, each checked once.
+
+    det(P) must be a unit, P A P* must equal h2_sum(g) entrywise, and
+    det(A) must be associate to ((1-t)(1-t^-1))^g; when a recorded
+    canonical determinant is given, it must be that of det(A). Returns
+    the certified base change and the canonical associate of det(A);
+    raises ReplayMismatch naming the first condition that fails.
+    """
+    try:
+        reduction = BaseChange(p)
+    except ValueError:
+        raise ReplayMismatch("base change determinant is not a unit") from None
+    replayed, target = congruence(p, a).entries, h2_sum(g).entries
+    if replayed != target:
+        i, j = next((i, j) for i, row in enumerate(target)
+                    for j, e in enumerate(row) if replayed[i][j] != e)
+        raise ReplayMismatch(f"entry ({i},{j}) is not that of the standard form")
+    canonical = determinant(a).normalize_associate()[0]
+    if canonical != ((ONE_MINUS_T * ONE_MINUS_T_INV) ** g).normalize_associate()[0]:
+        raise ReplayMismatch("determinant is not associate to ((1-t)(1-t^-1))^g")
+    if det_canonical is not None and det_canonical != canonical:
+        raise ReplayMismatch("recorded canonical determinant is not that of the form")
+    return reduction, canonical
 
 
 # -- operations -------------------------------------------------------------
@@ -454,39 +493,8 @@ def prenormalize_units(a: HermitianForm) -> tuple[Matrix, HermitianForm]:
 def reduce_to_standard(
     a: HermitianForm, prenormalize: bool = False
 ) -> Optional[ReductionCertificate]:
-    """Recognize the block shape and certify the reduction to the standard form.
-
-    Returns None when recognition fails. Once the shape is recognized the
-    reduction is mathematically forced, so any downstream check failure is
-    raised as InternalCheckError rather than silently returning None.
-    """
-    d = identity(a.rank)
-    working = a
-    if prenormalize:
-        d, working = prenormalize_units(a)
-    cs = recognize_block_form(working)
-    if cs is None:
-        return None
-    g = a.rank // 2
-    blocks = [as_matrix([[ONE, ZERO], [-c, ONE]]) for c in cs]
-    p0 = block_diag(*blocks)
-    p = mat_mul(p0, d)
-    reduced = congruence(p, a)
-    target = h2_sum(g)
-    if reduced.entries != target.entries:
-        raise InternalCheckError("reduction replay does not give the standard form")
-    det_a = determinant(a)
-    det_target = (ONE_MINUS_T * ONE_MINUS_T_INV) ** g
-    if not assoc_eq(det_a, det_target):
-        raise InternalCheckError("recognized form has non-associate determinant")
-    return ReductionCertificate(
-        form=a,
-        genus=g,
-        c_list=tuple(cs),
-        reduction=BaseChange.certify(p),
-        det_canonical=det_a.normalize_associate()[0],
-        det_target_canonical=det_target.normalize_associate()[0],
-    )
+    """The certificate of `certify_reduction`, or None when recognition fails."""
+    return certify_reduction(a, prenormalize).certificate
 
 
 def det_congruence_check(b: Sequence[Sequence], a: HermitianForm) -> bool:
@@ -525,14 +533,21 @@ REJECT_LABEL = "not recognized; no verdict"
 
 
 def certify_reduction(a: HermitianForm, prenormalize: bool = False) -> ReductionVerdict:
-    """Run recognition, reduction, and the determinant gate on a form."""
-    working = a
-    if prenormalize:
-        _, working = prenormalize_units(a)
+    """Recognize the block shape and certify the reduction to the standard form.
+
+    Once the shape is recognized the reduction is mathematically forced,
+    so a failed certificate gate is raised as InternalCheckError rather
+    than reported as a rejection.
+    """
+    d, working = prenormalize_units(a) if prenormalize else (identity(a.rank), a)
     cs, reason = _recognize_with_reason(working)
     if cs is None:
         return ReductionVerdict(False, None, None, f"recognition failed: {reason}", REJECT_LABEL)
-    cert = reduce_to_standard(a, prenormalize=prenormalize)
-    if cert is None:
-        raise InternalCheckError("recognition succeeded but reduction returned nothing")
-    return ReductionVerdict(True, cert.genus, cert, None, ACCEPT_LABEL)
+    g = a.rank // 2
+    p = mat_mul(block_diag(*(as_matrix([[ONE, ZERO], [-c, ONE]]) for c in cs)), d)
+    try:
+        reduction, det_canonical = _certificate_gate(a, g, p)
+    except ReplayMismatch as exc:
+        raise InternalCheckError(f"recognized form fails the certificate gate: {exc}") from exc
+    cert = ReductionCertificate(a, g, tuple(cs), reduction, det_canonical)
+    return ReductionVerdict(True, g, cert, None, ACCEPT_LABEL)

@@ -14,7 +14,7 @@ modules in degrees 0..n stores [d_1, ..., d_n].
 from __future__ import annotations
 
 from .laurent import LaurentPoly
-from .forms import Matrix, _eliminate, as_matrix, mat_mul
+from .forms import Matrix, _eliminate, as_matrix, mat_mul, nonnegative_int_from_json
 
 
 def rank_qt(m) -> int:
@@ -109,21 +109,15 @@ class ChainComplex:
     def from_json(cls, obj) -> "ChainComplex":
         if not isinstance(obj, dict) or "ranks" not in obj or "differentials" not in obj:
             raise ValueError("complex must be an object with ranks and differentials")
-        ranks = [int(r) for r in obj["ranks"]]
-        diffs = []
-        for d in obj["differentials"]:
-            diffs.append(
-                tuple(tuple(LaurentPoly.from_json(e) for e in row) for row in d)
-            )
-        return cls(ranks, diffs)
-
-
-def betti_qt(complex_: ChainComplex) -> list[int]:
-    return complex_.betti_qt()
-
-
-def euler_check(complex_: ChainComplex) -> bool:
-    return complex_.euler_check()
+        ranks, diffs = obj["ranks"], obj["differentials"]
+        if not isinstance(ranks, list) or not isinstance(diffs, list):
+            raise ValueError("ranks and differentials must be lists")
+        if not all(isinstance(d, list) and all(isinstance(r, list) for r in d) for d in diffs):
+            raise ValueError("each differential must be a list of rows, each row a list")
+        return cls(
+            [nonnegative_int_from_json(r, "module rank") for r in ranks],
+            [tuple(tuple(LaurentPoly.from_json(e) for e in row) for row in d) for d in diffs],
+        )
 
 
 def _shape(m: Matrix) -> tuple[int, int]:

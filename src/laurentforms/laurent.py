@@ -30,9 +30,6 @@ class UnitWitness:
     def compose(self, other: UnitWitness) -> UnitWitness:
         return UnitWitness(self.sign * other.sign, self.exponent + other.exponent)
 
-    def inverse(self) -> UnitWitness:
-        return UnitWitness(self.sign, -self.exponent)
-
     def involve(self) -> UnitWitness:
         return UnitWitness(self.sign, -self.exponent)
 

@@ -205,18 +205,22 @@ class SearchOutcome:
 
 
 def det_obstruction(a: HermitianForm, g: int) -> Optional[str]:
-    """A reason the form cannot be congruent to the standard genus-g form.
+    """A reason the form cannot be congruent to the standard genus-g form."""
+    if a.rank != 2 * g:
+        raise ValueError(f"form rank {a.rank} does not match genus {g}")
+    return _det_obstruction(determinant(a), h2_sum(g))
+
+
+def _det_obstruction(det_a: LaurentPoly, target: HermitianForm) -> Optional[str]:
+    """A reason a form of determinant det_a cannot be congruent to target.
 
     Congruence by a unit-determinant base change multiplies the
     determinant by u * involve(u) = 1, so association of determinants is
     necessary. Returns None when compatible.
     """
-    if a.rank != 2 * g:
-        raise ValueError(f"form rank {a.rank} does not match genus {g}")
-    target = determinant(h2_sum(g))
-    if not assoc_eq(determinant(a), target):
-        return "determinant not associate to the standard form's determinant"
-    return None
+    if assoc_eq(det_a, determinant(target)):
+        return None
+    return "determinant not associate to the target determinant"
 
 
 # -- move enumeration ---------------------------------------------------------
@@ -381,8 +385,6 @@ def _goal_transvection(
     d = target[i][i] - entries[i][i]
     for p in _poly_box(bounds.transvection_degree, bounds.transvection_coeff):
         if p * a + (p * a).involve() == d:
-            if not _in_box(p, bounds):
-                continue
             return Transvection(i, j, p)
     return None
 
@@ -485,17 +487,15 @@ def bounded_isometry_search(
     """
     if a.rank != target.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {target.rank}")
-    if not assoc_eq(determinant(a), determinant(target)):
-        return SearchOutcome(
-            OBSTRUCTION_MISMATCH,
-            reason="determinant not associate to the target determinant",
-        )
-    n = a.rank
+    det_a = determinant(a)
+    obstruction = _det_obstruction(det_a, target)
+    if obstruction is not None:
+        return SearchOutcome(OBSTRUCTION_MISMATCH, reason=obstruction)
     target_entries = target.entries
     root_key = _state_key(a.entries)
     if root_key == _state_key(target_entries):
         return _verified_found(a, target, ())
-    det_class = determinant(a).normalize_associate()[0]
+    det_class = det_a.normalize_associate()[0]
     seen = {root_key}
     level: list[tuple[tuple[str, ...], Matrix, tuple[MoveSpec, ...]]] = [
         (root_key, a.entries, ())
@@ -535,7 +535,7 @@ def _verified_found(
         p = mat_mul(move.matrix(a.rank), p)
     if congruence(p, a).entries != target.entries:
         raise RuntimeError("search produced a move list that does not replay")
-    return SearchOutcome(FOUND, moves=moves, base_change=BaseChange.certify(p))
+    return SearchOutcome(FOUND, moves=moves, base_change=BaseChange(p))
 
 
 # -- stabilization and the conjecture probe -----------------------------------

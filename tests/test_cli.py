@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import laurentforms.forms
 from laurentforms import h2_sum
 from laurentforms.cli import main
 
@@ -152,6 +155,21 @@ def test_homology_invalid_complex(tmp_path):
     assert main(["homology", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"ranks": [None], "differentials": []}, "module rank must be an integer"),
+        ({"ranks": ["1", "1"], "differentials": [5]}, "each differential must be a list"),
+        ({"ranks": ["1", "1"], "differentials": [[5]]}, "each differential must be a list"),
+    ],
+    ids=["null_rank", "non_list_differential", "non_list_row"],
+)
+def test_homology_malformed_complex(tmp_path, capsys, payload, message):
+    path = write_json(tmp_path / "bad.json", payload)
+    assert main(["homology", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_search_command(tmp_path, capsys):
     a_path = write_json(tmp_path / "a.json", rank2_fixture_json())
     t_path = write_json(tmp_path / "h2.json", h2_sum(1).to_json())
@@ -207,6 +225,75 @@ def test_replay_rank_mismatch(tmp_path, capsys):
     capsys.readouterr()
     big_form = write_json(tmp_path / "big.json", h2_sum(2).to_json())
     assert main(["replay", str(cert_path), big_form]) == 2
+
+
+def _reduced_certificate(tmp_path, capsys):
+    form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
+    cert_path = tmp_path / "cert.json"
+    assert main(["reduce", form_path, "-o", str(cert_path)]) == 0
+    capsys.readouterr()
+    return form_path, json.loads(cert_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("g", None, "genus g must be an integer"),
+        ("g", "1.5", "genus g must be an integer"),
+        ("g", 1.5, "genus g must be an integer"),
+        ("g", "-1", "genus g must be nonnegative"),
+        ("c_list", 5, "c_list must be a list"),
+        ("c_list", [], "0 witnesses does not match"),
+    ],
+    ids=["null_genus", "non_integer_genus", "float_genus", "negative_genus",
+         "non_list_c_list", "witness_count"],
+)
+def test_replay_malformed_certificate(tmp_path, capsys, key, value, message):
+    form_path, cert = _reduced_certificate(tmp_path, capsys)
+    cert[key] = value
+    cert_path = write_json(tmp_path / "bad.json", cert)
+    assert main(["replay", cert_path, form_path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("det_canonical", {"0": "1"}, "recorded canonical determinant"),
+        ("P", {"rank": "2", "entries": [{"0": "1"}, {}, {"0": "-1"}, {"0": "1", "1": "1"}]},
+         "determinant is not a unit"),
+    ],
+    ids=["changed_det_canonical", "non_unit_base_change"],
+)
+def test_replay_gate_mismatch(tmp_path, capsys, key, value, reason):
+    form_path, cert = _reduced_certificate(tmp_path, capsys)
+    cert[key] = value
+    cert_path = write_json(tmp_path / "mutated.json", cert)
+    assert main(["replay", cert_path, form_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "replay mismatch" in captured.err and reason in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "reduce", "replay"])
+def test_accept_runs_the_gate_once(tmp_path, capsys, monkeypatch, command):
+    # One certificate gate: det(P) and det(A) once each, one recognition.
+    form_path, cert = _reduced_certificate(tmp_path, capsys)
+    argv = [command, form_path]
+    if command == "replay":
+        argv = [command, write_json(tmp_path / "cert.json", cert), form_path]
+    calls = {"determinant": 0, "_recognize_with_reason": 0}
+    for name in calls:
+        original = getattr(laurentforms.forms, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(laurentforms.forms, name, counted)
+    assert main(argv) == 0
+    assert calls["determinant"] == 2
+    assert calls["_recognize_with_reason"] == (0 if command == "replay" else 1)
 
 
 def test_replay_move_list(tmp_path, capsys):

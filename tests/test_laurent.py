@@ -198,7 +198,7 @@ def test_pow_and_units():
     assert (ONE_MINUS_T ** 0) == ONE
     assert (ONE_MINUS_T ** 2) == L({0: 1, 1: -2, 2: 1})
     w = UnitWitness(-1, 3)
-    assert w.compose(w.inverse()) == UnitWitness(1, 0)
+    assert w.compose(w.involve()) == UnitWitness(1, 0)
     assert w.involve() == UnitWitness(-1, -3)
     with pytest.raises(ValueError):
         UnitWitness(2, 0)
