@@ -202,8 +202,17 @@ def _cmd_replay(args) -> int:
 
 def _replay_moves(obj: dict, form: HermitianForm) -> int:
     try:
+        if not isinstance(obj["moves"], list):
+            raise ValueError("moves must be a list")
         moves = [move_from_json(m) for m in obj["moves"]]
         target_entries = matrix_from_json(obj["target"]) if "target" in obj else None
+        for move in moves:
+            for name in ("i", "j"):
+                index = getattr(move, name, None)  # a unit scale has no j
+                if index is not None and index >= form.rank:
+                    raise ValueError(
+                        f"move index {name}={index} is out of range for rank {form.rank}"
+                    )
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad move list: {exc}") from exc
     entries = form.entries

@@ -23,6 +23,7 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     UnitWitness,
+    int_from_json,
     iota,
 )
 
@@ -235,12 +236,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def nonnegative_int_from_json(value, name: str) -> int:
     """A nonnegative integer given as a decimal string or a JSON integer."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise TypeError
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    n = int_from_json(value, name)
     if n < 0:
         raise ValueError(f"{name} must be nonnegative, got {n}")
     return n

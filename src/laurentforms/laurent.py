@@ -289,10 +289,26 @@ class LaurentPoly:
         data = {}
         for e, c in obj.items():
             try:
-                data[int(e)] = int(c)
-            except (TypeError, ValueError):
+                data[int_from_json(e, "exponent")] = int_from_json(c, "coefficient")
+            except ValueError:
                 raise ValueError(f"bad polynomial term {e!r}: {c!r}") from None
         return cls(data)
+
+
+def int_from_json(value, name: str) -> int:
+    """An integer given as a decimal string or a JSON integer.
+
+    A bool, a float, null or any other type raises ValueError: a bare
+    int() would truncate 1.5 to 1 and read true as 1.
+    """
+    if type(value) is int:  # not bool, whose type is a subclass of int
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _raw(coeffs: dict[int, int]) -> LaurentPoly:

@@ -4,8 +4,11 @@ The congruence action is generated by three unit-determinant move kinds:
 transvections (add a polynomial multiple of one basis vector to another),
 unit rescalings of a basis vector by +-t^k, and basis swaps. The search
 is a breadth-first enumeration of move sequences within explicit bounds,
-with states deduplicated by a canonical row-major encoding and the
-frontier processed in lexicographic order, so outcomes are reproducible.
+with states deduplicated by a canonical row-major string key and each
+level processed in lexicographic key order, so outcomes are reproducible.
+A stored level keeps only (key, move list) pairs; a state's matrix is
+rebuilt by replaying its moves from the root when it is goal-checked or
+expanded, and the final level is goal-checked as it is generated.
 
 "Found" outcomes are replay-checked before being returned. "Exhausted"
 only means no sequence exists within the given bounds.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .laurent import ZERO, ONE, LaurentPoly, assoc_eq
+from .laurent import ZERO, ONE, LaurentPoly, assoc_eq, int_from_json
 from .forms import (
     BaseChange,
     HermitianForm,
@@ -29,6 +32,7 @@ from .forms import (
     h2_sum,
     identity,
     mat_mul,
+    nonnegative_int_from_json,
 )
 
 
@@ -121,13 +125,18 @@ MoveSpec = Union[Transvection, UnitScale, Swap]
 def move_from_json(obj) -> MoveSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("move must be an object with a kind")
+
+    def index(name: str) -> int:
+        return nonnegative_int_from_json(obj[name], f"move index {name}")
+
     kind = obj["kind"]
     if kind == "transvection":
-        return Transvection(int(obj["i"]), int(obj["j"]), LaurentPoly.from_json(obj["p"]))
+        return Transvection(index("i"), index("j"), LaurentPoly.from_json(obj["p"]))
     if kind == "unit_scale":
-        return UnitScale(int(obj["i"]), int(obj["sign"]), int(obj["k"]))
+        sign = int_from_json(obj["sign"], "unit sign")
+        return UnitScale(index("i"), sign, int_from_json(obj["k"], "unit exponent k"))
     if kind == "swap":
-        return Swap(int(obj["i"]), int(obj["j"]))
+        return Swap(index("i"), index("j"))
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -242,15 +251,16 @@ def _poly_box(degree: int, coeff: int) -> tuple[LaurentPoly, ...]:
     return tuple(polys)
 
 
-def _unit_scales(n: int, bounds: SearchBounds) -> list[UnitScale]:
+@lru_cache(maxsize=None)
+def _unit_scales(n: int, exponent: int) -> tuple[UnitScale, ...]:
     out = []
     for i in range(n):
-        for k in range(-bounds.unit_exponent, bounds.unit_exponent + 1):
+        for k in range(-exponent, exponent + 1):
             for sign in (1, -1):
                 if sign == 1 and k == 0:
                     continue  # identity
                 out.append(UnitScale(i, sign, k))
-    return out
+    return tuple(out)
 
 
 def _index_pairs(n: int) -> list[tuple[int, int]]:
@@ -328,9 +338,17 @@ def apply_move(entries: Matrix, move: MoveSpec) -> Matrix:
     raise TypeError(f"unknown move {move!r}")
 
 
-def _state_key(entries: Matrix) -> tuple[str, ...]:
-    # Row-major canonical tokens; zero encodes as "" and sorts first.
-    return tuple(e.token() for row in entries for e in row)
+def _state_key(entries: Matrix) -> str:
+    # Row-major canonical tokens joined by NUL; zero encodes as "" and sorts
+    # first. NUL sorts below every token character and every key of a search
+    # has n * n fields, so string order is the order of the token tuples.
+    return "\0".join([e.token() for row in entries for e in row])
+
+
+def _replay(entries: Matrix, moves: tuple[MoveSpec, ...]) -> Matrix:
+    for move in moves:
+        entries = apply_move(entries, move)
+    return entries
 
 
 def _in_box(p: LaurentPoly, bounds: SearchBounds) -> bool:
@@ -358,7 +376,12 @@ def _agrees_outside(entries: Matrix, target: Matrix, skip: frozenset[int]) -> bo
 
 
 def _goal_transvection(
-    entries: Matrix, target: Matrix, i: int, j: int, bounds: SearchBounds
+    entries: Matrix,
+    target: Matrix,
+    i: int,
+    j: int,
+    bounds: SearchBounds,
+    shifts: _DiagonalShifts,
 ) -> Optional[Transvection]:
     """The transvection on (i, j) carrying entries to target, if one exists
     within bounds. Assumes agreement outside row/column i was checked."""
@@ -382,15 +405,48 @@ def _goal_transvection(
     a = entries[j][i]
     if a.is_zero:
         return None
-    d = target[i][i] - entries[i][i]
-    for p in _poly_box(bounds.transvection_degree, bounds.transvection_coeff):
-        if p * a + (p * a).involve() == d:
-            return Transvection(i, j, p)
-    return None
+    p = shifts.first(a, target[i][i] - entries[i][i])
+    return None if p is None else Transvection(i, j, p)
+
+
+class _DiagonalShifts:
+    """The first box polynomial p, in canonical order, with
+    p*a + involve(p*a) equal to a given value.
+
+    The box is scanned for each a only as far as a lookup needs, and the
+    values met are kept, so a kept a never multiplies the same p twice:
+    the goal checks of one search that reach this case mostly share a few
+    values of a (such as the 1 - t of a block form). At most MAX_SCANS
+    values of a are kept, the oldest dropped first, which bounds memory
+    without changing any answer. One search owns one instance.
+    """
+
+    MAX_SCANS = 16
+
+    def __init__(self, box: tuple[LaurentPoly, ...]):
+        self._box = box
+        self._scans: dict[LaurentPoly, tuple[dict, Iterator[LaurentPoly]]] = {}
+
+    def first(self, a: LaurentPoly, value: LaurentPoly) -> Optional[LaurentPoly]:
+        scan = self._scans.get(a)
+        if scan is None:
+            if len(self._scans) == self.MAX_SCANS:
+                del self._scans[next(iter(self._scans))]
+            scan = self._scans[a] = ({}, iter(self._box))
+        met, rest = scan
+        if value in met:
+            return met[value]
+        for p in rest:
+            pa = p * a
+            shift = pa + pa.involve()
+            met.setdefault(shift, p)
+            if shift == value:
+                return p
+        return None
 
 
 def _find_goal_move(
-    entries: Matrix, target: Matrix, bounds: SearchBounds
+    entries: Matrix, target: Matrix, bounds: SearchBounds, shifts: _DiagonalShifts
 ) -> Optional[MoveSpec]:
     """The first move in canonical order whose successor equals the target."""
     n = len(entries)
@@ -398,10 +454,10 @@ def _find_goal_move(
     for i, j in _index_pairs(n):
         if not agree[i]:
             continue
-        move = _goal_transvection(entries, target, i, j, bounds)
+        move = _goal_transvection(entries, target, i, j, bounds, shifts)
         if move is not None:
             return move
-    for move in _unit_scales(n, bounds):
+    for move in _unit_scales(n, bounds.unit_exponent):
         if not agree[move.i]:
             continue
         if _apply_unit_scale(entries, move.i, move.unit()) == target:
@@ -461,7 +517,7 @@ def _expand(entries: Matrix, bounds: SearchBounds) -> Iterator[tuple[MoveSpec, M
                     else:
                         new_rows.append(entries[r])
                 yield Transvection(i, j, p), tuple(new_rows)
-    for move in _unit_scales(n, bounds):
+    for move in _unit_scales(n, bounds.unit_exponent):
         yield move, _apply_unit_scale(entries, move.i, move.unit())
     for i in range(n):
         for j in range(i + 1, n):
@@ -469,6 +525,9 @@ def _expand(entries: Matrix, bounds: SearchBounds) -> Iterator[tuple[MoveSpec, M
 
 
 # -- the search ---------------------------------------------------------------
+
+# A stored BFS level: (state key, moves from the root) pairs in key order.
+Level = list[tuple[str, tuple[MoveSpec, ...]]]
 
 
 def bounded_isometry_search(
@@ -480,10 +539,14 @@ def bounded_isometry_search(
     """Breadth-first search for a move sequence with P A P* = target.
 
     Levels are explored in order of move count; within a level, states
-    are processed in lexicographic order of their canonical encoding and
+    are processed in lexicographic order of their canonical key and
     candidate moves in a fixed canonical order, making both the outcome
-    and the particular move list deterministic. Goal detection happens
-    while generating successors, so the final level is never materialized.
+    and the particular move list deterministic. A stored level holds
+    only (key, move list) pairs, and each state is rebuilt from its moves
+    when it is goal-checked or expanded. The final level, whose states
+    would only be goal-checked, is never materialized: _final_level_hit
+    goal-checks each successor as it is generated and builds keys for
+    hits only.
     """
     if a.rank != target.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {target.rank}")
@@ -495,36 +558,88 @@ def bounded_isometry_search(
     root_key = _state_key(a.entries)
     if root_key == _state_key(target_entries):
         return _verified_found(a, target, ())
-    det_class = det_a.normalize_associate()[0]
+    det_class = det_a.normalize_associate()[0] if verify_invariants else None
+    shifts = _DiagonalShifts(_poly_box(bounds.transvection_degree, bounds.transvection_coeff))
     seen = {root_key}
-    level: list[tuple[tuple[str, ...], Matrix, tuple[MoveSpec, ...]]] = [
-        (root_key, a.entries, ())
-    ]
-    depth = 0
-    while depth + 1 <= bounds.max_depth:
-        for _, entries, moves in level:
-            if verify_invariants:
-                node_det = determinant(entries).normalize_associate()[0]
-                assert node_det == det_class, "congruence changed the determinant class"
-            hit = _find_goal_move(entries, target_entries, bounds)
+    level: Level = [(root_key, ())]
+    for depth in range(bounds.max_depth):
+        # Goal checks on `level` complete move lists of length depth + 1.
+        for _, moves in level:
+            entries = _replay(a.entries, moves)
+            _check_det_class(entries, det_class)
+            hit = _find_goal_move(entries, target_entries, bounds, shifts)
             if hit is not None:
                 return _verified_found(a, target, moves + (hit,))
-        if depth + 2 > bounds.max_depth:
+        if depth + 1 == bounds.max_depth:
             break
-        next_level = []
-        for _, entries, moves in level:
-            for move, successor in _expand(entries, bounds):
-                key = _state_key(successor)
-                if key in seen:
-                    continue
-                seen.add(key)
-                next_level.append((key, successor, moves + (move,)))
-        if not next_level:
+        if depth + 2 == bounds.max_depth:
+            moves = _final_level_hit(
+                a.entries, level, target_entries, bounds, shifts, seen, det_class
+            )
+            if moves is not None:
+                return _verified_found(a, target, moves)
             break
-        next_level.sort(key=lambda item: item[0])
-        level = next_level
-        depth += 1
+        level = _next_level(a.entries, level, bounds, seen)
     return SearchOutcome(EXHAUSTED)
+
+
+def _check_det_class(entries: Matrix, det_class: Optional[LaurentPoly]) -> None:
+    if det_class is not None:
+        node_det = determinant(entries).normalize_associate()[0]
+        assert node_det == det_class, "congruence changed the determinant class"
+
+
+def _next_level(
+    root: Matrix,
+    level: Level,
+    bounds: SearchBounds,
+    seen: set[str],
+) -> Level:
+    """The unseen successors of a level as (key, moves), sorted by key.
+
+    A state reached twice keeps the move list that generated it first.
+    """
+    next_level = []
+    for _, moves in level:
+        for move, successor in _expand(_replay(root, moves), bounds):
+            key = _state_key(successor)
+            if key in seen:
+                continue
+            seen.add(key)
+            next_level.append((key, moves + (move,)))
+    next_level.sort(key=lambda item: item[0])
+    return next_level
+
+
+def _final_level_hit(
+    root: Matrix,
+    level: Level,
+    target: Matrix,
+    bounds: SearchBounds,
+    shifts: _DiagonalShifts,
+    seen: set[str],
+    det_class: Optional[LaurentPoly],
+) -> Optional[tuple[MoveSpec, ...]]:
+    """The full move list through the final level's first hit in key order.
+
+    Successors of the last stored level are goal-checked as they are
+    generated. The hit with the smallest key wins, and among equal keys
+    the first generated (strict <): the state and move list that
+    deduplicating, sorting and scanning the level would pick. A key in
+    `seen` belongs to an earlier level, already goal-checked without a
+    hit, so no hit has one; the check only keeps the level exact.
+    """
+    best_key, best_moves = None, None
+    for _, moves in level:
+        for move, successor in _expand(_replay(root, moves), bounds):
+            _check_det_class(successor, det_class)
+            hit = _find_goal_move(successor, target, bounds, shifts)
+            if hit is None:
+                continue
+            key = _state_key(successor)
+            if key not in seen and (best_key is None or key < best_key):
+                best_key, best_moves = key, moves + (move, hit)
+    return best_moves
 
 
 def _verified_found(

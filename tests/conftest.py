@@ -1,6 +1,8 @@
 """Shared helpers for building random ring elements and forms."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,12 @@ def block_form(cs) -> HermitianForm:
             )
         )
     return HermitianForm(block_diag(*blocks))
+
+
+def load_search_golden() -> dict:
+    """The pinned search outcomes (see tests/fixtures/make_search_golden.py)."""
+    path = Path(__file__).with_name("fixtures") / "search_golden.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -40,7 +40,13 @@ from laurentforms.wallcalc import (
     mu,
 )
 
-from conftest import block_form, hermitian_diagonal_entry, rand_matrix, rand_poly
+from conftest import (
+    block_form,
+    hermitian_diagonal_entry,
+    load_search_golden,
+    rand_matrix,
+    rand_poly,
+)
 from test_laurent import _inverse_in_box
 
 
@@ -202,9 +208,11 @@ def _random_block_forms(count, seed):
 
 def test_criterion_8_bounded_search(capsys):
     start = time.monotonic()
+    golden = load_search_golden()
     instances = _random_block_forms(100, seed=8)
+    assert len(golden["criterion_8"]) == len(instances)
     worst = 0.0
-    for g, form in instances:
+    for (g, form), pinned in zip(instances, golden["criterion_8"]):
         bounds = SearchBounds(
             max_depth=g + 1, transvection_degree=2, transvection_coeff=2, unit_exponent=2
         )
@@ -213,6 +221,8 @@ def test_criterion_8_bounded_search(capsys):
         t1 = time.monotonic() - t0
         worst = max(worst, t1)
         assert t1 < 10.0
+        assert form.to_json() == pinned["form"] and str(g + 1) == pinned["depth"]
+        assert outcome.to_json() == pinned["outcome"]  # the exact move list and P
         assert outcome.status == FOUND
         assert len(outcome.moves) <= g + 1
         entries = form.entries
@@ -221,15 +231,18 @@ def test_criterion_8_bounded_search(capsys):
         assert entries == h2_sum(g).entries
         assert congruence(outcome.base_change.matrix, form) == h2_sum(g)
 
-    for probe_form in (h2_sum(1), rank2_fixture()):
+    for probe_form, pinned in zip((h2_sum(1), rank2_fixture()), golden["probes"]):
         rep = conjecture_probe(probe_form)
+        assert probe_form.to_json() == pinned["form"]
+        assert rep.to_json() == pinned["report"]
         assert rep.direct.status == FOUND
         assert rep.stable.status == FOUND
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(
             8,
-            f"100 searches found with replay-exact certificates (worst {worst:.2f}s); probes Found/Found",
+            f"100 searches found with replay-exact certificates and pinned move lists "
+            f"(worst {worst:.2f}s); probes Found/Found",
             elapsed,
         )
 

@@ -310,6 +310,29 @@ def test_replay_move_list(tmp_path, capsys):
     assert main(["replay", bad_path, form_path]) == 1
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        ({"kind": "swap", "i": "7", "j": "1"}, "move index i=7 is out of range for rank 2"),
+        ({"kind": "swap", "i": None, "j": "1"}, "move index i must be an integer, got None"),
+        ({"kind": "swap", "i": "-1", "j": "1"}, "move index i must be nonnegative"),
+        ({"kind": "transvection", "i": "1", "j": "0", "p": {"0": 1.5}},
+         "bad polynomial term '0': 1.5"),
+        ({"kind": "unit_scale", "i": "0", "sign": None, "k": "0"},
+         "unit sign must be an integer, got None"),
+    ],
+    ids=["index_out_of_range", "null_index", "negative_index", "float_coefficient",
+         "null_unit_sign"],
+)
+def test_replay_malformed_move(tmp_path, capsys, move, message):
+    form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
+    moves_path = write_json(tmp_path / "moves.json", {"moves": [move]})
+    assert main(["replay", moves_path, form_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad move list" in captured.err and message in captured.err
+
+
 def test_console_entry_point(tmp_path):
     form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
     proc = subprocess.run(

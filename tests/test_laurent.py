@@ -213,6 +213,14 @@ def test_json_round_trip(rng):
         LaurentPoly.from_json(["not", "a", "map"])
 
 
+def test_from_json_accepts_only_integers():
+    assert LaurentPoly.from_json({"0": 3, "-2": "-4"}) == LaurentPoly({0: 3, -2: -4})
+    for bad in ({"0": 1.5}, {"1": True}, {"0": 1.5, "1": True}, {"0": None},
+                {"0": "1.5"}, {"0": [1]}, {"x": "1"}):
+        with pytest.raises(ValueError, match="bad polynomial term"):
+            LaurentPoly.from_json(bad)
+
+
 def test_token_zero_sorts_first(rng):
     assert ZERO.token() == ""
     for _ in range(50):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from laurentforms import (
     HermitianForm,
@@ -22,9 +23,21 @@ from laurentforms import (
     stabilize,
     recognize_block_form,
 )
-from laurentforms.search import EXHAUSTED, FOUND, OBSTRUCTION_MISMATCH, apply_move
+import laurentforms.search
+from laurentforms.search import (
+    EXHAUSTED,
+    FOUND,
+    OBSTRUCTION_MISMATCH,
+    _DiagonalShifts,
+    _expand,
+    _next_level,
+    _poly_box,
+    _replay,
+    _state_key,
+    apply_move,
+)
 
-from conftest import block_form, rand_poly
+from conftest import block_form, load_search_golden, rand_poly
 
 
 L = LaurentPoly
@@ -161,10 +174,115 @@ def test_search_monotone_in_bounds(rng):
         assert bounded_isometry_search(instance, h2_sum(g), wider).status == FOUND
 
 
-def test_search_with_invariant_assertions():
+def test_search_with_invariant_assertions(monkeypatch):
     form = block_form([ONE + T])
     out = bounded_isometry_search(form, h2_sum(1), BOUNDS, verify_invariants=True)
     assert out.status == FOUND
+
+    # A depth-2 search whose hit lies on the final level: the determinant
+    # class is asserted on every streamed successor of the root.
+    pinned = load_search_golden()["final_level"][0]
+    form = HermitianForm.from_json(pinned["form"])
+    calls = []
+    real_determinant = laurentforms.search.determinant
+
+    def counting_determinant(m):
+        calls.append(m)
+        return real_determinant(m)
+
+    monkeypatch.setattr(laurentforms.search, "determinant", counting_determinant)
+    out = bounded_isometry_search(form, h2_sum(1), BOUNDS, verify_invariants=True)
+    assert out.to_json() == pinned["outcome"] and len(out.moves) == 2
+    successors = sum(1 for _ in _expand(form.entries, BOUNDS))
+    assert len(calls) >= successors + 2  # det(a), the root, each successor
+
+
+@pytest.mark.parametrize("group", ["final_level", "final_level_many_hits", "exhausted_depth2"])
+def test_search_golden_final_level_and_exhausted(group):
+    # Rank-2 depth-2 searches: hits found only on the streamed final level
+    # (in final_level_many_hits the smallest hitting key is neither the
+    # first hit generated nor generated only once), and searches that
+    # stream the whole final level without a hit.
+    for pinned in load_search_golden()[group]:
+        form = HermitianForm.from_json(pinned["form"])
+        bounds = SearchBounds(int(pinned["depth"]), 2, 2, 2)
+        assert bounded_isometry_search(form, h2_sum(1), bounds).to_json() == pinned["outcome"]
+
+
+def _token_tuple(entries):
+    return tuple(e.token() for row in entries for e in row)
+
+
+_polys = st.dictionaries(
+    st.integers(-12, 12), st.integers(-150, 150), max_size=4
+).map(LaurentPoly)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two n x n matrices that agree on a row-major prefix, then differ in
+    one entry by a random change or by extending the entry with a higher
+    term, so that one token is a proper prefix of the other."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(_polys, min_size=n * n, max_size=n * n))
+    b = list(a)
+    k = draw(st.integers(0, n * n - 1))
+    if draw(st.booleans()):
+        top = a[k].max_exponent() + 1 if not a[k].is_zero else draw(st.integers(-12, 12))
+        b[k] = a[k] + LaurentPoly({top + draw(st.integers(0, 12)): draw(st.integers(1, 150))})
+    else:
+        b[k] = draw(_polys)
+    for i in range(k + 1, n * n):
+        if draw(st.booleans()):
+            b[i] = draw(_polys)
+    rows = lambda xs: tuple(tuple(xs[r * n:(r + 1) * n]) for r in range(n))  # noqa: E731
+    pair = [rows(a), rows(b)]
+    if draw(st.booleans()):
+        pair.reverse()
+    return tuple(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_pairs())
+@example((((L({0: 1}), ZERO),), ((L({0: 1, 1: 2}), ZERO),)))  # "0:1" vs "0:1,1:2"
+@example((((L({0: 1, 1: 2}),),), ((L({0: 1}),),)))
+@example((((ZERO, L({-1: 3})),), ((L({-10: -1}), ZERO),)))
+def test_state_key_orders_like_token_tuples(pair):
+    a, b = pair
+    ta, tb = _token_tuple(a), _token_tuple(b)
+    assert not any("\0" in token for token in ta + tb)
+    ka, kb = _state_key(a), _state_key(b)
+    assert (ka < kb) == (ta < tb)
+    assert (ka == kb) == (ta == tb)
+
+
+def test_diagonal_shifts_match_a_box_scan(rng):
+    # The first p in box order with p*a + involve(p*a) == d, as a plain scan
+    # finds it, under interleaved lookups on more values of a than are kept.
+    box = _poly_box(1, 2)
+    shifts = _DiagonalShifts(box)
+    values_of_a = [rand_poly(rng, -1, 1, 2, allow_zero=False) for _ in range(20)]
+    for _ in range(300):
+        a = rng.choice(values_of_a)
+        d = rng.choice(box) * a
+        d = d + d.involve() if rng.random() < 0.8 else rand_poly(rng, -2, 2, 3)
+        scan = next((p for p in box if p * a + (p * a).involve() == d), None)
+        assert shifts.first(a, d) == scan
+
+
+def test_level_states_rebuild_to_their_keys():
+    small = SearchBounds(3, 1, 1, 1)
+    for form in (block_form([ONE + T]), block_form([T_INV, ONE])):
+        root = form.entries
+        seen = {_state_key(root)}
+        level = [(_state_key(root), ())]
+        for depth in (1, 2):
+            level = _next_level(root, level[:40], small, seen)
+            keys = [key for key, _ in level]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for key, moves in level:
+                assert len(moves) == depth
+                assert _state_key(_replay(root, moves)) == key
 
 
 def test_stabilize_examples():
