@@ -62,15 +62,25 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, multiplying only nonzero entries of both factors.
+
+    Each row of b is reduced once to its nonzero (column, entry) pairs;
+    row i of the product then adds a[i][k] * b[k][j] for the nonzero
+    a[i][k] and those pairs of row k.
+    """
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(len(b)) if not a[i][k].is_zero), ZERO)
-            for j in range(len(b[0]) if b else 0)
-        )
-        for i in range(len(a))
-    )
+    width = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * width
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] = acc[j] + x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def involve_transpose(m: Matrix) -> Matrix:

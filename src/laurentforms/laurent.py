@@ -41,9 +41,10 @@ class UnitWitness:
 
     @classmethod
     def from_json(cls, obj) -> UnitWitness:
-        if not isinstance(obj, dict):
+        if not isinstance(obj, dict) or not {"sign", "exponent"} <= obj.keys():
             raise ValueError("unit witness must be an object with sign/exponent")
-        return cls(int(obj["sign"]), int(obj["exponent"]))
+        return cls(int_from_json(obj["sign"], "unit sign"),
+                   int_from_json(obj["exponent"], "unit exponent"))
 
 
 class LaurentPoly:

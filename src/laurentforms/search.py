@@ -169,12 +169,8 @@ class SearchBounds:
     def from_json(cls, obj) -> "SearchBounds":
         if not isinstance(obj, dict):
             raise ValueError("bounds must be an object")
-        return cls(
-            int(obj.get("max_depth", 2)),
-            int(obj.get("transvection_degree", 2)),
-            int(obj.get("transvection_coeff", 2)),
-            int(obj.get("unit_exponent", 2)),
-        )
+        names = ("max_depth", "transvection_degree", "transvection_coeff", "unit_exponent")
+        return cls(*(int_from_json(obj.get(name, 2), name) for name in names))
 
 
 DEFAULT_BOUNDS = SearchBounds(

@@ -3,14 +3,17 @@
 Self-intersection values live in the quotient of the additive group of
 Z[t, t^-1] identifying t^r with t^-r. A surface is modeled by its list of
 intersection events together with the Euler number e of its normal
-bundle; each event kind carries a fixed contribution rule:
+bundle; an event of sign s and exponent k contributes s t^k times a
+fixed polynomial of its kind, written out as (shift, coefficient) terms:
 
-    generic_double_point    +-t^k
-    torus_piercing          +-t^k (1-t)
-    disc_self_intersection  +-t^k (1-t)(1-t^-1)
+    generic_double_point    1                    (0, 1)
+    torus_piercing          1-t                  (0, 1), (1, -1)
+    disc_self_intersection  (1-t)(1-t^-1)        (-1, -1), (0, 2), (1, -1)
 
-The homological self-pairing is lambda = mu + mu~ + iota(e), computed by
-lifting the quotient class symmetrically.
+`CONTRIBUTIONS` holds this table; mu folds every event's terms onto
+|k + shift| in one pass. The homological self-pairing is
+lambda = mu + mu~ + iota(e), computed by lifting the quotient class
+symmetrically.
 """
 
 from __future__ import annotations
@@ -18,14 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .laurent import ONE_MINUS_T, ONE_MINUS_T_INV, LaurentPoly, iota, t_power
+from .laurent import LaurentPoly, int_from_json, iota
 from .forms import solve_hermitian_zero_aug
 
 GENERIC_DOUBLE_POINT = "generic_double_point"
 TORUS_PIERCING = "torus_piercing"
 DISC_SELF_INTERSECTION = "disc_self_intersection"
 
-EVENT_KINDS = (GENERIC_DOUBLE_POINT, TORUS_PIERCING, DISC_SELF_INTERSECTION)
+# kind -> the (shift, coefficient) terms of its contribution at t^k, sign +1
+CONTRIBUTIONS: Mapping[str, tuple[tuple[int, int], ...]] = {
+    GENERIC_DOUBLE_POINT: ((0, 1),),
+    TORUS_PIERCING: ((0, 1), (1, -1)),
+    DISC_SELF_INTERSECTION: ((-1, -1), (0, 2), (1, -1)),
+}
 
 
 class WallClass:
@@ -131,19 +139,15 @@ class IntersectionEvent:
     exponent: int
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in CONTRIBUTIONS:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.sign not in (1, -1):
             raise ValueError("event sign must be +1 or -1")
 
     def contribution(self) -> LaurentPoly:
         """The lift of this event's contribution to the ring."""
-        base = t_power(self.exponent)
-        if self.kind == TORUS_PIERCING:
-            base = base * ONE_MINUS_T
-        elif self.kind == DISC_SELF_INTERSECTION:
-            base = base * ONE_MINUS_T * ONE_MINUS_T_INV
-        return base if self.sign > 0 else -base
+        return LaurentPoly({self.exponent + shift: self.sign * coeff
+                            for shift, coeff in CONTRIBUTIONS[self.kind]})
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "sign": f"{self.sign:+d}", "k": str(self.exponent)}
@@ -156,8 +160,8 @@ class IntersectionEvent:
             if key not in obj:
                 raise ValueError(f"event is missing {key!r}")
         try:
-            sign, k = int(obj["sign"]), int(obj["k"])
-        except (TypeError, ValueError):
+            sign, k = int_from_json(obj["sign"], "sign"), int_from_json(obj["k"], "k")
+        except ValueError:
             raise ValueError(
                 f"event sign and k must be integers, got {obj['sign']!r} and {obj['k']!r}"
             ) from None
@@ -189,19 +193,22 @@ class SurfaceModel:
         if not isinstance(obj["events"], list):
             raise ValueError("surface events must be a list")
         events = tuple(IntersectionEvent.from_json(e) for e in obj["events"])
-        try:
-            euler = int(obj["euler"])
-        except (TypeError, ValueError):
-            raise ValueError(f"euler must be an integer, got {obj['euler']!r}") from None
-        return cls(str(obj["label"]), events, euler)
+        return cls(str(obj["label"]), events, int_from_json(obj["euler"], "euler"))
 
 
 def mu(surface: SurfaceModel) -> WallClass:
-    """The self-intersection class: the signed sum of event contributions."""
-    total = WallClass()
+    """The self-intersection class: the signed sum of event contributions.
+
+    Equal to the sum of project(event.contribution()), folded in one pass
+    over the events with no ring arithmetic.
+    """
+    out: dict[int, int] = {}
     for event in surface.events:
-        total = total + project(event.contribution())
-    return total
+        k, sign = event.exponent, event.sign
+        for shift, coeff in CONTRIBUTIONS[event.kind]:
+            r = abs(k + shift)
+            out[r] = out.get(r, 0) + sign * coeff
+    return WallClass(out)
 
 
 def lambda_self(surface: SurfaceModel) -> LaurentPoly:

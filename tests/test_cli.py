@@ -129,6 +129,22 @@ def test_wall_null_or_non_numeric_sign(tmp_path, capsys):
         assert "event sign and k must be integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("euler, sign, k", [
+    (0.9, True, 1.5),  # read as euler 0, sign +1, k 1 by a bare int()
+    (0.9, "+1", "1"),
+    ("0", True, "1"),
+    ("0", "+1", 1.5),
+], ids=["all", "float_euler", "bool_sign", "float_k"])
+def test_wall_refuses_non_integer_numbers(tmp_path, capsys, euler, sign, k):
+    surface = {"label": "x", "euler": euler,
+               "events": [{"kind": "torus_piercing", "sign": sign, "k": k}]}
+    path = write_json(tmp_path / "bad.json", surface)
+    assert main(["wall", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer" in captured.err or "must be integers" in captured.err
+
+
 def test_homology_command(tmp_path, capsys):
     complex_payload = {
         "ranks": ["1", "1", "1"],

@@ -20,7 +20,7 @@ from laurentforms import (
     reduce_to_standard,
     solve_hermitian_zero_aug,
 )
-from laurentforms.forms import ReductionCertificate, as_matrix, identity
+from laurentforms.forms import ReductionCertificate, as_matrix, identity, mat_mul
 
 from conftest import block_form, hermitian_diagonal_entry, rand_matrix, rand_poly
 
@@ -90,6 +90,41 @@ def _random_hermitian(rng, n) -> HermitianForm:
             m[i][j] = p
             m[j][i] = p.involve()
     return HermitianForm(m)
+
+
+def _triple_loop_product(a, b):
+    """Every a[i][k] * b[k][j], zero or not: the plain oracle for mat_mul."""
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols))
+        for i in range(len(a))
+    )
+
+
+def _rand_rect(rng, rows, cols, density):
+    return tuple(
+        tuple(rand_poly(rng, -2, 2, 2, allow_zero=False) if rng.random() < density else ZERO
+              for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def test_mat_mul_matches_triple_loop(rng):
+    shapes = [(n, n, n) for n in (1, 3, 6, 10)] + [(2, 3, 1), (3, 5, 2), (1, 4, 4), (4, 1, 3)]
+    for rows, inner, cols in shapes:
+        for density in (0.0, 0.15, 0.5, 1.0):
+            a = _rand_rect(rng, rows, inner, density)
+            b = _rand_rect(rng, inner, cols, 1.0 - density / 2)
+            assert mat_mul(a, b) == _triple_loop_product(a, b)
+    p = [[ONE if i == j else ZERO for j in range(32)] for i in range(32)]
+    p[5][4], p[17][30] = ONE_MINUS_T, L({-1: 3})
+    form = block_form([rand_poly(rng) for _ in range(16)]).entries
+    assert mat_mul(as_matrix(p), form) == _triple_loop_product(as_matrix(p), form)
+    assert mat_mul((), ()) == ()
+    assert mat_mul((), _rand_rect(rng, 2, 2, 1.0)) == ()
+    assert mat_mul(((), ()), ()) == ((), ())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(_rand_rect(rng, 2, 3, 1.0), _rand_rect(rng, 2, 2, 1.0))
 
 
 def test_determinant_examples(rng):

@@ -221,6 +221,14 @@ def test_from_json_accepts_only_integers():
             LaurentPoly.from_json(bad)
 
 
+def test_unit_witness_from_json_accepts_only_integers():
+    assert UnitWitness.from_json({"sign": "-1", "exponent": 2}) == UnitWitness(-1, 2)
+    for bad in ({"sign": True, "exponent": "0"}, {"sign": "1", "exponent": 1.5},
+                {"sign": None, "exponent": "0"}, {"sign": "1"}, ["1", "0"]):
+        with pytest.raises(ValueError):
+            UnitWitness.from_json(bad)
+
+
 def test_token_zero_sorts_first(rng):
     assert ZERO.token() == ""
     for _ in range(50):

@@ -332,3 +332,9 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(-1, 0, 0, 0)
     assert SearchBounds.from_json({"max_depth": "3"}).max_depth == 3
+    assert SearchBounds.from_json({"unit_exponent": 1}).unit_exponent == 1
+    for bad in (1.5, True, None, "x"):
+        with pytest.raises(ValueError, match="max_depth must be an integer"):
+            SearchBounds.from_json({"max_depth": bad})
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        SearchBounds.from_json({"transvection_coeff": "-1"})

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurentforms import (
     IntersectionEvent,
@@ -89,6 +90,41 @@ def test_event_contributions():
         IntersectionEvent("unknown", 1, 0)
     with pytest.raises(ValueError):
         IntersectionEvent(TORUS_PIERCING, 2, 0)
+
+
+def test_contribution_equals_ring_products():
+    rules = {
+        GENERIC_DOUBLE_POINT: ONE,
+        TORUS_PIERCING: ONE_MINUS_T,
+        DISC_SELF_INTERSECTION: ONE_MINUS_T * ONE_MINUS_T_INV,
+    }
+    for kind, factor in rules.items():
+        for sign in (1, -1):
+            for k in range(-4, 5):
+                expected = L({0: sign}) * t_power(k) * factor
+                assert IntersectionEvent(kind, sign, k).contribution() == expected
+
+
+_events = st.lists(
+    st.builds(
+        IntersectionEvent,
+        st.sampled_from([GENERIC_DOUBLE_POINT, TORUS_PIERCING, DISC_SELF_INTERSECTION]),
+        st.sampled_from([1, -1]),
+        st.integers(-10, 10),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_events, st.integers(-5, 5))
+def test_mu_equals_the_projected_contribution_sum(events, euler):
+    surface = SurfaceModel("random", tuple(events), euler)
+    reference = WallClass()
+    for event in events:
+        reference = reference + project(event.contribution())
+    assert mu(surface) == reference
+    assert mu(surface).terms() == reference.terms()
 
 
 def test_lambda_self_examples():
@@ -186,3 +222,20 @@ def test_surface_json_round_trip():
         SurfaceModel.from_json({"label": "x", "events": []})
     with pytest.raises(ValueError):
         IntersectionEvent.from_json({"kind": "nope", "sign": "+1", "k": "0"})
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": TORUS_PIERCING, "sign": True, "k": "0"},
+    {"kind": TORUS_PIERCING, "sign": "+1", "k": 1.5},
+    {"kind": TORUS_PIERCING, "sign": 1.0, "k": "0"},
+])
+def test_event_from_json_refuses_non_integers(obj):
+    with pytest.raises(ValueError, match="must be integers"):
+        IntersectionEvent.from_json(obj)
+
+
+def test_surface_from_json_refuses_non_integer_euler():
+    for euler in (0.9, True, None, "1.0"):
+        with pytest.raises(ValueError, match="euler must be an integer"):
+            SurfaceModel.from_json({"label": "x", "euler": euler, "events": []})
+    assert SurfaceModel.from_json({"label": "x", "euler": -2, "events": []}).euler == -2
