@@ -62,12 +62,7 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a b, multiplying only nonzero entries of both factors.
-
-    Each row of b is reduced once to its nonzero (column, entry) pairs;
-    row i of the product then adds a[i][k] * b[k][j] for the nonzero
-    a[i][k] and those pairs of row k.
-    """
+    """The product a b, formed from products of two nonzero entries only."""
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a[0])} columns vs {len(b)} rows")
     width = len(b[0]) if b else 0

@@ -10,10 +10,9 @@ fixed polynomial of its kind, written out as (shift, coefficient) terms:
     torus_piercing          1-t                  (0, 1), (1, -1)
     disc_self_intersection  (1-t)(1-t^-1)        (-1, -1), (0, 2), (1, -1)
 
-`CONTRIBUTIONS` holds this table; mu folds every event's terms onto
-|k + shift| in one pass. The homological self-pairing is
-lambda = mu + mu~ + iota(e), computed by lifting the quotient class
-symmetrically.
+mu folds each event's terms of `CONTRIBUTIONS` onto |k + shift|. The
+homological self-pairing is lambda = mu + mu~ + iota(e), computed by
+lifting the quotient class symmetrically.
 """
 
 from __future__ import annotations
@@ -197,11 +196,7 @@ class SurfaceModel:
 
 
 def mu(surface: SurfaceModel) -> WallClass:
-    """The self-intersection class: the signed sum of event contributions.
-
-    Equal to the sum of project(event.contribution()), folded in one pass
-    over the events with no ring arithmetic.
-    """
+    """The self-intersection class: the sum of project(e.contribution())."""
     out: dict[int, int] = {}
     for event in surface.events:
         k, sign = event.exponent, event.sign
