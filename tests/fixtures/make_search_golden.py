@@ -14,9 +14,17 @@ for the probes) for four groups of instances:
   (H2 moved by two transvections on the same index pair, or by a swap and
   a unit rescaling); these pin which hit and which generator win;
 - exhausted_depth2: the first 8 `exhausted_depth2` forms of
-  bench/golden_search.json.
+  bench/golden_search.json;
+- depth3: searches that sort an intermediate level and expand it, each
+  entry with its own bounds: rank-2 and rank-4 forms (H2^g moved by three
+  transvections) that a depth-3 search with degree 1, coefficient 1 and
+  unit exponent 1 finds only at move length 3, two forms it exhausts, a
+  form moved by t^3 and searched with unit exponent 3 (more than twice
+  the degree), a rank-2 depth-4 search over the box {1, -1}, and depth 0
+  and 1 edge cases.
 
-Every search uses transvection degree 2, coefficient 2 and unit exponent 2.
+Every search of the other groups uses transvection degree 2, coefficient
+2 and unit exponent 2.
 The file pins move lists, so regenerate it only when a change is meant to
 alter which move list a search returns. Run from the repository root:
 
@@ -52,6 +60,8 @@ FINAL_LEVEL_SEED = 20261018
 FINAL_LEVEL_COUNT = 12
 MANY_HITS_COUNT = 8
 EXHAUSTED_COUNT = 8
+DEPTH3_RANK2_COUNT = 4
+DEPTH3_RANK4_COUNT = 2
 
 
 def bounds(depth: int) -> SearchBounds:
@@ -102,6 +112,63 @@ def many_hit_forms() -> list[HermitianForm]:
     return out
 
 
+def depth3_entries() -> list[dict]:
+    rng = random.Random(FINAL_LEVEL_SEED + 3)
+    small = SearchBounds(max_depth=3, transvection_degree=1, transvection_coeff=1,
+                         unit_exponent=1)
+
+    def moved(g: int, moves: list) -> HermitianForm:
+        entries = h2_sum(g).entries
+        for move in moves:
+            entries = apply_move(entries, move)
+        return HermitianForm(entries)
+
+    def transvections(g: int, count: int) -> list:
+        out = []
+        for _ in range(count):
+            i, j = rng.sample(range(2 * g), 2)
+            out.append(Transvection(i, j, rand_poly(rng, -1, 1, 1, allow_zero=False)))
+        return out
+
+    def entry(case: str, form: HermitianForm, b: SearchBounds) -> dict:
+        outcome = bounded_isometry_search(form, h2_sum(form.rank // 2), b)
+        return {"bounds": b.to_json(), "case": case, "form": form.to_json(),
+                "outcome": outcome.to_json()}
+
+    def found_at(g: int, count: int, length: int, b: SearchBounds, make) -> list[dict]:
+        out = []
+        while len(out) < count:
+            e = entry(f"rank{2 * g}_found_at_{length}", make(), b)
+            if len(e["outcome"].get("moves", ())) == length:
+                out.append(e)
+        return out
+
+    entries = found_at(1, DEPTH3_RANK2_COUNT, 3, small, lambda: moved(1, transvections(1, 3)))
+    entries += found_at(2, DEPTH3_RANK4_COUNT, 3, small, lambda: moved(2, transvections(2, 3)))
+    exhausted = []
+    while len(exhausted) < 2:
+        e = entry("rank2_exhausted", moved(1, transvections(1, 5)), small)
+        if e["outcome"]["status"] == "exhausted":
+            exhausted.append(e)
+    entries += exhausted
+    wide = SearchBounds(max_depth=3, transvection_degree=1, transvection_coeff=1,
+                        unit_exponent=3)
+    entries.append(entry("rank2_unit_exp_3", moved(1, [UnitScale(0, -1, 3)]
+                                                     + transvections(1, 2)), wide))
+    signs = SearchBounds(max_depth=4, transvection_degree=0, transvection_coeff=1,
+                         unit_exponent=0)
+    entries += found_at(1, 1, 4, signs, lambda: moved(1, [
+        Transvection(i, 1 - i, rand_poly(rng, 0, 0, 1, allow_zero=False))
+        for i in (0, 1, 0, 1)]))
+    form = moved(1, transvections(1, 3))
+    for depth in (0, 1):
+        b = SearchBounds(depth, 1, 1, 1)
+        entries.append(entry(f"depth_{depth}_target", h2_sum(1), b))
+        entries.append(entry(f"depth_{depth}", form, b))
+    entries.append(entry("depth_1_found", moved(1, transvections(1, 1)), SearchBounds(1, 1, 1, 1)))
+    return entries
+
+
 def main() -> int:
     pool = json.loads((ROOT / "bench" / "golden_search.json").read_text())["pool"]
     exhausted = [HermitianForm.from_json(e["form"]) for e in pool
@@ -116,6 +183,7 @@ def main() -> int:
         "final_level": [search_entry(form, 2) for form in final_level_forms()],
         "final_level_many_hits": [search_entry(form, 2) for form in many_hit_forms()],
         "exhausted_depth2": [search_entry(form, 2) for form in exhausted],
+        "depth3": depth3_entries(),
     }
     lines = ["{"]
     for g, (group, entries) in enumerate(golden.items()):

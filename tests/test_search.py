@@ -209,6 +209,17 @@ def test_search_golden_final_level_and_exhausted(group):
         assert bounded_isometry_search(form, h2_sum(1), bounds).to_json() == pinned["outcome"]
 
 
+def test_search_golden_depth3():
+    # Searches that sort an intermediate level and expand it (hits only at
+    # move length 3 or 4, or none), a unit exponent above twice the
+    # transvection degree, and depth 0 and 1; each entry has its bounds.
+    for pinned in load_search_golden()["depth3"]:
+        form = HermitianForm.from_json(pinned["form"])
+        bounds = SearchBounds.from_json(pinned["bounds"])
+        outcome = bounded_isometry_search(form, h2_sum(form.rank // 2), bounds)
+        assert outcome.to_json() == pinned["outcome"], pinned["case"]
+
+
 def _token_tuple(entries):
     return tuple(e.token() for row in entries for e in row)
 
