@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .forms import (
@@ -285,10 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use and shared: parse_args keeps no state between calls.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -4,11 +4,17 @@ The congruence action is generated by three unit-determinant move kinds:
 transvections (add a polynomial multiple of one basis vector to another),
 unit rescalings of a basis vector by +-t^k, and basis swaps. The search
 is a breadth-first enumeration of move sequences within explicit bounds,
-with states deduplicated by a canonical row-major string key and each
-level processed in lexicographic key order, so outcomes are reproducible.
-A stored level keeps only (key, move list) pairs; a state's matrix is
-rebuilt by replaying its moves from the root when it is goal-checked or
-expanded, and the final level is goal-checked as it is generated.
+with states deduplicated and each level processed in lexicographic order
+of a canonical key (the upper-triangle entry tokens, row-major), so
+outcomes are reproducible.
+
+Inside the search a state is a tuple of ints, one per upper-triangle
+entry, each entry packed by Kronecker substitution (`_Packing`): a ring
+operation of a move is one int operation, and deduplication hashes the
+tuples. Each successor is goal-checked as it is generated, behind a
+filter on where it differs from the target. Keys are built only for hits
+and for a level that is about to be expanded; a stored level holds
+(packed state, move codes) pairs, and the last level is never stored.
 
 "Found" outcomes are replay-checked before being returned. "Exhausted"
 only means no sequence exists within the given bounds.
@@ -334,19 +340,6 @@ def apply_move(entries: Matrix, move: MoveSpec) -> Matrix:
     raise TypeError(f"unknown move {move!r}")
 
 
-def _state_key(entries: Matrix) -> str:
-    # Row-major canonical tokens joined by NUL; zero encodes as "" and sorts
-    # first. NUL sorts below every token character and every key of a search
-    # has n * n fields, so string order is the order of the token tuples.
-    return "\0".join([e.token() for row in entries for e in row])
-
-
-def _replay(entries: Matrix, moves: tuple[MoveSpec, ...]) -> Matrix:
-    for move in moves:
-        entries = apply_move(entries, move)
-    return entries
-
-
 def _in_box(p: LaurentPoly, bounds: SearchBounds) -> bool:
     return (
         not p.is_zero
@@ -467,63 +460,241 @@ def _find_goal_move(
     return None
 
 
-def _expand(entries: Matrix, bounds: SearchBounds) -> Iterator[tuple[MoveSpec, Matrix]]:
-    """All (move, successor) pairs of a Hermitian state, deterministically.
+# -- packed states ------------------------------------------------------------
 
-    Transvection successors are built from products p * row_j shared
-    across the target row index i, which matters because the polynomial
-    box dominates the branching factor.
+
+class _Packing:
+    """Kronecker substitution: the entry p is the int sum(c << B*(e + OFF))
+    over its terms c*t^e, that is t^OFF * p(t) at t = 2^B, read back as
+    signed base-2^B digits.
+
+    Evaluation is a ring homomorphism, so a sum of packed entries is one
+    int sum and a product one int product (at the sum of the offsets).
+    The digits read back exactly while every coefficient stays below
+    2^(B-1) in absolute value and every exponent at least -OFF. Decoded
+    polynomials are kept by value.
     """
-    n = len(entries)
-    box = _poly_box(bounds.transvection_degree, bounds.transvection_coeff)
-    for j in range(n):
-        row_j = entries[j]
-        nonzero_cols = [c for c in range(n) if not row_j[c].is_zero]
-        for p in box:
-            prods = {c: p * row_j[c] for c in nonzero_cols}
-            invs = {c: q.involve() for c, q in prods.items()}
-            pp_diag = None
-            if not row_j[j].is_zero:
-                pp_diag = p * p.involve() * row_j[j]
+
+    def __init__(self, bits: int, offset: int):
+        self.bits, self.offset = bits, offset
+        self._polys: dict[int, LaurentPoly] = {0: ZERO}
+
+    def pack(self, p: LaurentPoly) -> int:
+        b, off = self.bits, self.offset
+        return sum(c << b * (e + off) for e, c in p.terms())
+
+    def terms(self, v: int) -> list[tuple[int, int]]:
+        """The (exponent, coefficient) pairs of a packed entry, low to high."""
+        b, mask, half = self.bits, (1 << self.bits) - 1, 1 << (self.bits - 1)
+        out, e = [], -self.offset
+        while v:
+            zeros = ((v & -v).bit_length() - 1) // b  # zero digits at the bottom
+            v >>= b * zeros
+            e += zeros
+            c = v & mask
+            if c >= half:
+                c -= 1 << b
+            out.append((e, c))
+            v = (v - c) >> b
+            e += 1
+        return out
+
+    def poly(self, v: int) -> LaurentPoly:
+        p = self._polys.get(v)
+        if p is None:
+            p = self._polys[v] = LaurentPoly(self.terms(v))
+        return p
+
+    def token(self, v: int) -> str:
+        return self.poly(v).token()
+
+    def involve(self, v: int) -> int:
+        b, off = self.bits, self.offset
+        return sum(c << b * (off - e) for e, c in self.terms(v))
+
+
+@lru_cache(maxsize=8)
+def _packed_box(degree: int, coeff: int, bits: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, involve(p), p * involve(p)) of each box polynomial, packed with
+    B = bits at its own offset: degree, degree and 2 * degree."""
+    packing = _Packing(bits, degree)
+    out = []
+    for p in _poly_box(degree, coeff):
+        packed, bar = packing.pack(p), packing.pack(p.involve())
+        out.append((packed, bar, packed * bar))
+    return tuple(out)
+
+
+def _state_key(state: tuple[int, ...], packing: _Packing) -> str:
+    # The upper-triangle tokens, row-major, joined by NUL; zero encodes as
+    # "" and sorts first. NUL sorts below every token character and every
+    # key of a search has n(n+1)/2 fields, so string order is the order of
+    # the token tuples. For Hermitian states that is also the order of the
+    # full row-major token tuples: the first entry where two of them differ
+    # lies on or above the diagonal, as its mirror image differs too.
+    return "\0".join([packing.token(v) for v in state])
+
+
+def _norm(p: LaurentPoly) -> int:
+    return sum(abs(c) for _, c in p.terms())
+
+
+def _radius(p: LaurentPoly) -> int:
+    return max((abs(e) for e in p.support()), default=0)
+
+
+class _Kernel:
+    """The packed successors and filtered goal checks of one search.
+
+    A state is the tuple of its packed upper-triangle entries, row-major.
+    B and OFF cover every state the search packs, which lies at most
+    max_depth - 1 moves from the root, and the target. A transvection by
+    p multiplies the largest L1 norm of an entry by at most (1 + |p|)^2,
+    with |p| <= (2d + 1)c, and moves an exponent by at most 2d; a unit
+    scale moves one by at most unit_exp and a swap by nothing.
+    """
+
+    def __init__(self, root: Matrix, target: Matrix, bounds: SearchBounds,
+                 shifts: _DiagonalShifts):
+        n, d = len(root), bounds.transvection_degree
+        moves = bounds.max_depth - 1
+        growth = (1 + (2 * d + 1) * bounds.transvection_coeff) ** (2 * moves)
+        norm = max(max(_norm(e) for row in root for e in row) * growth,
+                   max(_norm(e) for row in target for e in row))
+        offset = max(max(_radius(e) for row in root for e in row)
+                     + moves * max(2 * d, bounds.unit_exponent),
+                     max(_radius(e) for row in target for e in row))
+        self.packing = packing = _Packing(norm.bit_length() + 1, offset)
+        self.n, self.bounds, self._shifts, self._target = n, bounds, shifts, target
+        self._positions = [(r, c) for r in range(n) for c in range(r, n)]
+        at = {rc: k for k, rc in enumerate(self._positions)}
+        self._at = [[at[min(r, c), max(r, c)] for c in range(n)] for r in range(n)]
+        self._box = _packed_box(d, bounds.transvection_coeff, packing.bits)
+        self._units = _unit_scales(n, bounds.unit_exponent)
+        self._swap_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self._target_state = self.state(target)
+        self._bits = [1 << k for k in range(len(self._positions))]
+        self._swaps: dict[tuple[int, ...], Swap] = {}
+        for i, j in self._swap_pairs:
+            self._swaps.setdefault(self.state(_apply_swap(target, i, j)), Swap(i, j))
+        self._swap_masks = {self._mask(state) for state in self._swaps}
+        self._kinds: dict[int, int] = {}  # mask -> _kind(mask)
+
+    def state(self, entries: Matrix) -> tuple[int, ...]:
+        return tuple(self.packing.pack(entries[r][c]) for r, c in self._positions)
+
+    def matrix(self, state: tuple[int, ...]) -> Matrix:
+        poly, at = self.packing.poly, self._at
+        return tuple(
+            tuple(poly(state[at[r][c]]) if r <= c else poly(state[at[r][c]]).involve()
+                  for c in range(self.n))
+            for r in range(self.n)
+        )
+
+    def move(self, code: int) -> MoveSpec:
+        """The move that successors() numbers code."""
+        n, size = self.n, len(self._box)
+        if code < n * (n - 1) * size:
+            j, rest = divmod(code, size * (n - 1))
+            k, i = divmod(rest, n - 1)
+            p = _poly_box(self.bounds.transvection_degree, self.bounds.transvection_coeff)[k]
+            return Transvection(i + (i >= j), j, p)
+        code -= n * (n - 1) * size
+        if code < len(self._units):
+            return self._units[code]
+        return Swap(*self._swap_pairs[code - len(self._units)])
+
+    def successors(self, state: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(code, successor) for every move, in canonical move order:
+        transvections by j, then box polynomial, then i; unit scales; swaps.
+
+        A transvection by p on (i, j) adds p * a[j][c] along row i and
+        involve(p) * a[c][j] down column i, and both to the diagonal with
+        p * involve(p) * a[j][j]; the products are shared across i. A unit
+        scale is a shift and a swap a permutation of the full matrix.
+        """
+        n, b, at = self.n, self.packing.bits, self._at
+        full = [[0] * n for _ in range(n)]
+        for (r, c), v in zip(self._positions, state):
+            full[r][c] = v
+            if r != c and v:
+                full[c][r] = self.packing.involve(v)
+        shift = b * self.bounds.transvection_degree
+        code = 0
+        for j in range(n):
+            cols = [c for c in range(n) if full[j][c]]
+            row_j = [full[j][c] for c in cols]
+            col_j = [full[c][j] for c in cols]
+            a_jj, m = full[j][j], len(cols)
+            # For each p, vals holds p * a[j][c] for c in cols, then
+            # involve(p) * a[c][j] for c in cols, then p * involve(p) * a[j][j];
+            # the move on (i, j) adds vals[s] at position k for (k, s) in ops.
+            plans = []
             for i in range(n):
                 if i == j:
                     continue
-                row_i = entries[i]
-                new_rows = []
-                for r in range(n):
-                    if r == i:
-                        row = []
-                        for c in range(n):
-                            if c == i:
-                                val = row_i[i]
-                                if i in prods:
-                                    val = val + prods[i] + invs[i]
-                                if pp_diag is not None:
-                                    val = val + pp_diag
-                            elif c in prods:
-                                val = row_i[c] + prods[c]
-                            else:
-                                val = row_i[c]
-                            row.append(val)
-                        new_rows.append(tuple(row))
-                    elif r in prods:
-                        row = list(entries[r])
-                        row[i] = entries[r][i] + invs[r]
-                        new_rows.append(tuple(row))
-                    else:
-                        new_rows.append(entries[r])
-                yield Transvection(i, j, p), tuple(new_rows)
-    for move in _unit_scales(n, bounds.unit_exponent):
-        yield move, _apply_unit_scale(entries, move.i, move.unit())
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield Swap(i, j), _apply_swap(entries, i, j)
+                ops = [(at[i][c], s if c > i else m + s) for s, c in enumerate(cols) if c != i]
+                if i in cols:
+                    s = cols.index(i)
+                    ops += [(at[i][i], s), (at[i][i], m + s)]
+                if a_jj:
+                    ops.append((at[i][i], 2 * m))
+                plans.append(ops)
+            for p, bar, pp in self._box:
+                vals = [(p * x) >> shift for x in row_j] + [(bar * x) >> shift for x in col_j]
+                if a_jj:
+                    vals.append((pp * a_jj) >> 2 * shift)
+                for ops in plans:
+                    new = list(state)
+                    for k, s in ops:
+                        new[k] += vals[s]
+                    yield code, tuple(new)
+                    code += 1
+        for move in self._units:
+            i, sign, up = move.i, move.sign, b * move.k
+            new = list(state)
+            for c in range(n):
+                if c != i and full[i][c]:
+                    # u * a[i][c] above the diagonal, a[c][i] * involve(u) below
+                    s = up if c > i else -up
+                    v = state[at[i][c]]
+                    new[at[i][c]] = sign * (v << s if s >= 0 else v >> -s)
+            yield code, tuple(new)
+            code += 1
+        for i, j in self._swap_pairs:
+            perm = list(range(n))
+            perm[i], perm[j] = j, i
+            yield code, tuple(full[perm[r]][perm[c]] for r, c in self._positions)
+            code += 1
+
+    def goal_move(self, state: tuple[int, ...]) -> Optional[MoveSpec]:
+        """_find_goal_move of the state. The state is decoded only if the
+        entries where it differs from the target lie in the row and column
+        of one index; otherwise only a swap can reach the target, and only
+        from a swap of the target, which one lookup finds."""
+        mask = self._mask(state)
+        kind = self._kinds.get(mask)
+        if kind is None:
+            kind = self._kinds[mask] = self._kind(mask)
+        if kind == 1:
+            return _find_goal_move(self.matrix(state), self._target, self.bounds, self._shifts)
+        if kind == 2:
+            return self._swaps.get(state)
+        return None
+
+    def _mask(self, state: tuple[int, ...]) -> int:
+        return sum([bit for bit, v, t in zip(self._bits, state, self._target_state) if v != t])
+
+    def _kind(self, mask: int) -> int:
+        """1 if one index covers the positions in mask, else 2 if a swap of
+        the target differs from it there, else 0."""
+        touched = [{r, c} for bit, (r, c) in zip(self._bits, self._positions) if mask & bit]
+        if not touched or set.intersection(*touched):
+            return 1
+        return 2 if mask in self._swap_masks else 0
 
 
 # -- the search ---------------------------------------------------------------
-
-# A stored BFS level: (state key, moves from the root) pairs in key order.
-Level = list[tuple[str, tuple[MoveSpec, ...]]]
 
 
 def bounded_isometry_search(
@@ -537,12 +708,20 @@ def bounded_isometry_search(
     Levels are explored in order of move count; within a level, states
     are processed in lexicographic order of their canonical key and
     candidate moves in a fixed canonical order, making both the outcome
-    and the particular move list deterministic. A stored level holds
-    only (key, move list) pairs, and each state is rebuilt from its moves
-    when it is goal-checked or expanded. The final level, whose states
-    would only be goal-checked, is never materialized: _final_level_hit
-    goal-checks each successor as it is generated and builds keys for
-    hits only.
+    and the particular move list deterministic.
+
+    The input form is goal-checked as it is. Each later level is
+    generated from the sorted level before it, and each successor not
+    seen before is goal-checked as it appears. Among a level's hits the
+    one with the smallest key wins, the first generated on ties: the
+    state a scan of the sorted level would reach first. A level without
+    a hit is stored as (packed state, move codes) pairs, and only if a
+    level follows it; it is then sorted by keys built at that point, so
+    a search that hits on a level never builds that level's keys.
+    Entries are packed with B-bit signed digits at offset OFF, taken
+    from a bound over the root, the target and max_depth - 1 moves
+    (`_Kernel`); the last move is found on decoded states. Every packed
+    digit is thus proven to fit, and none can overflow.
     """
     if a.rank != target.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {target.rank}")
@@ -550,32 +729,53 @@ def bounded_isometry_search(
     obstruction = _det_obstruction(det_a, target)
     if obstruction is not None:
         return SearchOutcome(OBSTRUCTION_MISMATCH, reason=obstruction)
-    target_entries = target.entries
-    root_key = _state_key(a.entries)
-    if root_key == _state_key(target_entries):
+    if a.entries == target.entries:
         return _verified_found(a, target, ())
+    if bounds.max_depth == 0:
+        return SearchOutcome(EXHAUSTED)
     det_class = det_a.normalize_associate()[0] if verify_invariants else None
+    _check_det_class(a.entries, det_class)
     shifts = _DiagonalShifts(_poly_box(bounds.transvection_degree, bounds.transvection_coeff))
-    seen = {root_key}
-    level: Level = [(root_key, ())]
-    for depth in range(bounds.max_depth):
-        # Goal checks on `level` complete move lists of length depth + 1.
-        for _, moves in level:
-            entries = _replay(a.entries, moves)
-            _check_det_class(entries, det_class)
-            hit = _find_goal_move(entries, target_entries, bounds, shifts)
-            if hit is not None:
-                return _verified_found(a, target, moves + (hit,))
-        if depth + 1 == bounds.max_depth:
+    hit = _find_goal_move(a.entries, target.entries, bounds, shifts)
+    if hit is not None:
+        return _verified_found(a, target, (hit,))
+    if bounds.max_depth == 1:
+        return SearchOutcome(EXHAUSTED)
+    kernel = _Kernel(a.entries, target.entries, bounds, shifts)
+    root = kernel.state(a.entries)
+    seen = {root}
+    level = [(root, ())]
+    for length in range(2, bounds.max_depth + 1):
+        # Goal checks on the successors of `level` complete move lists of
+        # the given length; the successors are stored only if expanded next.
+        final = length == bounds.max_depth
+        best_key = best = None
+        stored = []
+        for state, codes in level:
+            for code, successor in kernel.successors(state):
+                if det_class is not None:
+                    entries = kernel.matrix(successor)
+                    assert entries == apply_move(kernel.matrix(state), kernel.move(code)), \
+                        "a packed successor differs from its move applied to the parent"
+                    _check_det_class(entries, det_class)
+                if successor in seen:
+                    continue
+                if not final:
+                    seen.add(successor)
+                    stored.append((successor, codes + (code,)))
+                hit = kernel.goal_move(successor)
+                if hit is None:
+                    continue
+                key = _state_key(successor, kernel.packing)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (codes + (code,), hit)
+        if best is not None:
+            codes, hit = best
+            return _verified_found(a, target, tuple(map(kernel.move, codes)) + (hit,))
+        if final:
             break
-        if depth + 2 == bounds.max_depth:
-            moves = _final_level_hit(
-                a.entries, level, target_entries, bounds, shifts, seen, det_class
-            )
-            if moves is not None:
-                return _verified_found(a, target, moves)
-            break
-        level = _next_level(a.entries, level, bounds, seen)
+        stored.sort(key=lambda item: _state_key(item[0], kernel.packing))
+        level = stored
     return SearchOutcome(EXHAUSTED)
 
 
@@ -583,59 +783,6 @@ def _check_det_class(entries: Matrix, det_class: Optional[LaurentPoly]) -> None:
     if det_class is not None:
         node_det = determinant(entries).normalize_associate()[0]
         assert node_det == det_class, "congruence changed the determinant class"
-
-
-def _next_level(
-    root: Matrix,
-    level: Level,
-    bounds: SearchBounds,
-    seen: set[str],
-) -> Level:
-    """The unseen successors of a level as (key, moves), sorted by key.
-
-    A state reached twice keeps the move list that generated it first.
-    """
-    next_level = []
-    for _, moves in level:
-        for move, successor in _expand(_replay(root, moves), bounds):
-            key = _state_key(successor)
-            if key in seen:
-                continue
-            seen.add(key)
-            next_level.append((key, moves + (move,)))
-    next_level.sort(key=lambda item: item[0])
-    return next_level
-
-
-def _final_level_hit(
-    root: Matrix,
-    level: Level,
-    target: Matrix,
-    bounds: SearchBounds,
-    shifts: _DiagonalShifts,
-    seen: set[str],
-    det_class: Optional[LaurentPoly],
-) -> Optional[tuple[MoveSpec, ...]]:
-    """The full move list through the final level's first hit in key order.
-
-    Successors of the last stored level are goal-checked as they are
-    generated. The hit with the smallest key wins, and among equal keys
-    the first generated (strict <): the state and move list that
-    deduplicating, sorting and scanning the level would pick. A key in
-    `seen` belongs to an earlier level, already goal-checked without a
-    hit, so no hit has one; the check only keeps the level exact.
-    """
-    best_key, best_moves = None, None
-    for _, moves in level:
-        for move, successor in _expand(_replay(root, moves), bounds):
-            _check_det_class(successor, det_class)
-            hit = _find_goal_move(successor, target, bounds, shifts)
-            if hit is None:
-                continue
-            key = _state_key(successor)
-            if key not in seen and (best_key is None or key < best_key):
-                best_key, best_moves = key, moves + (move, hit)
-    return best_moves
 
 
 def _verified_found(

@@ -197,6 +197,32 @@ def test_search_command(tmp_path, capsys):
     ]
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # One parser serves every call: a usage error or --help in between
+    # leaves the next command's parse, exit code and output unchanged.
+    form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
+    target_path = write_json(tmp_path / "target.json", h2_sum(1).to_json())
+    search = ["search", form_path, target_path, "--depth", "1"]
+    assert main(search) == 0
+    first = capsys.readouterr()
+    assert json.loads(first.out)["status"] == "found" and first.err == ""
+
+    assert main(["search", form_path, "--depth", "x"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid int value: 'x'" in out.err
+
+    assert main(["--help"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: laurentforms") and out.err == ""
+
+    assert main(["check", form_path]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
+    assert main(search) == 0
+    assert capsys.readouterr() == first
+    assert main(["search", form_path, target_path]) == 0  # --depth back to its default
+    assert json.loads(capsys.readouterr().out) == json.loads(first.out)
+
+
 def test_search_obstructed_exits_one(tmp_path, capsys):
     bad = {"rank": "2", "entries": [{}, {"0": "1", "1": "1"}, {"0": "1", "-1": "1"}, {}]}
     a_path = write_json(tmp_path / "bad.json", bad)

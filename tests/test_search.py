@@ -29,10 +29,9 @@ from laurentforms.search import (
     FOUND,
     OBSTRUCTION_MISMATCH,
     _DiagonalShifts,
-    _expand,
-    _next_level,
+    _Kernel,
+    _Packing,
     _poly_box,
-    _replay,
     _state_key,
     apply_move,
 )
@@ -193,8 +192,19 @@ def test_search_with_invariant_assertions(monkeypatch):
     monkeypatch.setattr(laurentforms.search, "determinant", counting_determinant)
     out = bounded_isometry_search(form, h2_sum(1), BOUNDS, verify_invariants=True)
     assert out.to_json() == pinned["outcome"] and len(out.moves) == 2
-    successors = sum(1 for _ in _expand(form.entries, BOUNDS))
+    kernel = _Kernel(form.entries, h2_sum(1).entries, BOUNDS, None)
+    successors = sum(1 for _ in kernel.successors(kernel.state(form.entries)))
     assert len(calls) >= successors + 2  # det(a), the root, each successor
+
+    # Searches that sort a stored level and expand it: each successor is
+    # also compared with apply_move on its decoded parent.
+    monkeypatch.undo()
+    for pinned in load_search_golden()["depth3"]:
+        if pinned["case"] in ("rank2_found_at_4", "rank2_exhausted"):
+            form = HermitianForm.from_json(pinned["form"])
+            bounds = SearchBounds.from_json(pinned["bounds"])
+            out = bounded_isometry_search(form, h2_sum(1), bounds, verify_invariants=True)
+            assert out.to_json() == pinned["outcome"]
 
 
 @pytest.mark.parametrize("group", ["final_level", "final_level_many_hits", "exhausted_depth2"])
@@ -253,6 +263,14 @@ def _matrix_pairs(draw):
     return tuple(pair)
 
 
+# Wide enough for _matrix_pairs: coefficients up to 150, exponents from -12.
+_KEY_PACKING = _Packing(10, 12)
+
+
+def _packed_row_major(entries):
+    return tuple(_KEY_PACKING.pack(e) for row in entries for e in row)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_matrix_pairs())
 @example((((L({0: 1}), ZERO),), ((L({0: 1, 1: 2}), ZERO),)))  # "0:1" vs "0:1,1:2"
@@ -262,7 +280,9 @@ def test_state_key_orders_like_token_tuples(pair):
     a, b = pair
     ta, tb = _token_tuple(a), _token_tuple(b)
     assert not any("\0" in token for token in ta + tb)
-    ka, kb = _state_key(a), _state_key(b)
+    pa, pb = _packed_row_major(a), _packed_row_major(b)
+    assert tuple(map(_KEY_PACKING.token, pa)) == ta
+    ka, kb = _state_key(pa, _KEY_PACKING), _state_key(pb, _KEY_PACKING)
     assert (ka < kb) == (ta < tb)
     assert (ka == kb) == (ta == tb)
 
@@ -282,18 +302,33 @@ def test_diagonal_shifts_match_a_box_scan(rng):
 
 
 def test_level_states_rebuild_to_their_keys():
+    # Two levels built as the search builds them (unseen successors, first
+    # generator kept, sorted by key): each state decodes to the replay of
+    # its move list, and its key is the upper-triangle key of that matrix.
     small = SearchBounds(3, 1, 1, 1)
     for form in (block_form([ONE + T]), block_form([T_INV, ONE])):
-        root = form.entries
-        seen = {_state_key(root)}
-        level = [(_state_key(root), ())]
+        root, n = form.entries, form.rank
+        kernel = _Kernel(root, h2_sum(n // 2).entries, small, None)
+        seen = {kernel.state(root)}
+        level = [(kernel.state(root), ())]
         for depth in (1, 2):
-            level = _next_level(root, level[:40], small, seen)
-            keys = [key for key, _ in level]
+            stored = []
+            for state, codes in level[:40]:
+                for code, successor in kernel.successors(state):
+                    if successor not in seen:
+                        seen.add(successor)
+                        stored.append((successor, codes + (code,)))
+            level = sorted(stored, key=lambda item: _state_key(item[0], kernel.packing))
+            keys = [_state_key(state, kernel.packing) for state, _ in level]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
-            for key, moves in level:
-                assert len(moves) == depth
-                assert _state_key(_replay(root, moves)) == key
+            for state, codes in level:
+                assert len(codes) == depth
+                entries = root
+                for code in codes:
+                    entries = apply_move(entries, kernel.move(code))
+                assert kernel.matrix(state) == entries
+                upper = [entries[r][c].token() for r in range(n) for c in range(r, n)]
+                assert _state_key(state, kernel.packing) == "\0".join(upper)
 
 
 def test_stabilize_examples():

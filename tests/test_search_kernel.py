@@ -1,0 +1,165 @@
+"""Property tests of the packed search kernel (`search._Kernel`).
+
+States are random Hermitian matrices of rank 2-4; each test compares the
+packed kernel with the LaurentPoly reference it replaces: `apply_move` for
+successors, `LaurentPoly` itself for packing, `_find_goal_move` for goal
+checks, and full row-major token keys for key order.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from laurentforms import LaurentPoly, SearchBounds, Swap, Transvection, UnitScale, ZERO
+from laurentforms.search import (
+    _DiagonalShifts,
+    _Kernel,
+    _apply_swap,
+    _find_goal_move,
+    _poly_box,
+    _state_key,
+    _unit_scales,
+    apply_move,
+)
+
+_polys = st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4).map(LaurentPoly)
+
+
+@st.composite
+def _hermitian(draw, n=None, polys=_polys):
+    n = draw(st.integers(2, 4)) if n is None else n
+    rows = [[ZERO] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            p = draw(polys)
+            if r == c:
+                p = p + p.involve()
+            rows[r][c], rows[c][r] = p, p.involve()
+    return tuple(tuple(row) for row in rows)
+
+
+# Boxes of at most 124 polynomials keep a rank-4 level near 1,500 states.
+_bounds = st.builds(SearchBounds, st.integers(2, 3), st.integers(0, 1), st.integers(1, 2),
+                    st.integers(0, 3))
+
+
+def _shifts(bounds):
+    return _DiagonalShifts(_poly_box(bounds.transvection_degree, bounds.transvection_coeff))
+
+
+def _canonical_moves(n, bounds):
+    box = _poly_box(bounds.transvection_degree, bounds.transvection_coeff)
+    moves = [Transvection(i, j, p) for j in range(n) for p in box for i in range(n) if i != j]
+    moves += _unit_scales(n, bounds.unit_exponent)
+    return moves + [Swap(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _inverse(move):
+    if isinstance(move, Transvection):
+        return Transvection(move.i, move.j, -move.p)
+    if isinstance(move, UnitScale):
+        return UnitScale(move.i, move.sign, -move.k)
+    return move
+
+
+@settings(max_examples=25, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_packed_successors_equal_apply_move(entries, bounds, data):
+    # Every move kind, from the root and from one of its successors (two
+    # moves from the root is as far as a depth-3 search packs a state).
+    kernel = _Kernel(entries, entries, bounds, None)
+    root = kernel.state(entries)
+    assert kernel.matrix(root) == entries
+    moves = _canonical_moves(len(entries), bounds)
+    successors = list(kernel.successors(root))
+    assert [code for code, _ in successors] == list(range(len(moves)))
+    for code, successor in successors:
+        assert kernel.move(code) == moves[code]
+        assert kernel.matrix(successor) == apply_move(entries, moves[code])
+    if bounds.max_depth == 3:
+        code, state = data.draw(st.sampled_from(successors))
+        parent = apply_move(entries, moves[code])
+        for code, successor in kernel.successors(state):
+            assert kernel.matrix(successor) == apply_move(parent, moves[code])
+
+
+@settings(max_examples=50, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_pack_round_trip_at_the_digit_and_exponent_limits(entries, bounds, data):
+    packing = _Kernel(entries, entries, bounds, None).packing
+    top, off = (1 << (packing.bits - 1)) - 1, packing.offset
+    edge = st.sampled_from([top, -top])
+    terms = {-off: data.draw(edge), off: data.draw(edge)}
+    for e in data.draw(st.lists(st.integers(-off, off), max_size=6)):
+        terms[e] = data.draw(st.one_of(edge, st.integers(-top, top)))
+    for p in (LaurentPoly(terms), LaurentPoly({-off: data.draw(edge)}), ZERO):
+        packed = packing.pack(p)
+        assert packing.poly(packed) == p
+        assert packing.token(packed) == p.token()
+        assert packing.poly(packing.involve(packed)) == p.involve()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_filtered_goal_check_matches_find_goal_move(target, bounds, data):
+    # On a random state and on preimages m^-1(T) of the target under random
+    # moves of every kind (each then has a goal move, not always m).
+    n = len(target)
+    moves = _canonical_moves(n, bounds)
+    states = [data.draw(_hermitian(n))]
+    states += [apply_move(target, _inverse(data.draw(st.sampled_from(moves))))
+               for _ in range(4)]
+    states += [_apply_swap(target, i, j) for i in range(n) for j in range(i + 1, n)]
+    for state in states:
+        kernel = _Kernel(state, target, bounds, _shifts(bounds))
+        expected = _find_goal_move(state, target, bounds, _shifts(bounds))
+        assert kernel.goal_move(kernel.state(state)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(10, 60), st.data())
+def test_bits_cover_a_target_far_larger_than_the_root(bits, data):
+    # One move from the root H2 + H2 bounds coefficients by 4 (B = 4); the
+    # target's reach 2^bits, and the state one swap from it must be found.
+    coeff = st.builds(lambda c, sign: sign * c, st.integers(1 << (bits - 1), 1 << bits),
+                      st.sampled_from([1, -1]))
+    big = st.dictionaries(st.integers(-3, 3), coeff, min_size=1, max_size=4).map(LaurentPoly)
+    state = data.draw(_hermitian(4, big))
+    i, j = data.draw(st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]))
+    target = _apply_swap(state, i, j)
+    bounds = SearchBounds(2, 0, 1, 0)
+    root = ((ZERO, LaurentPoly({0: 1})), (LaurentPoly({0: 1}), ZERO))
+    root = tuple(row + (ZERO, ZERO) for row in root) + tuple(
+        (ZERO, ZERO) + row for row in root)
+    kernel = _Kernel(root, target, bounds, _shifts(bounds))
+    assert kernel.packing.bits > bits
+    expected = _find_goal_move(state, target, bounds, _shifts(bounds))
+    assert expected is not None
+    assert kernel.goal_move(kernel.state(state)) == expected
+
+
+@st.composite
+def _hermitian_pairs(draw):
+    """Two Hermitian matrices that agree on a prefix of the upper triangle
+    and may differ after it."""
+    a = draw(_hermitian())
+    n = len(a)
+    upper = [(r, c) for r in range(n) for c in range(r, n)]
+    k = draw(st.integers(0, len(upper)))
+    b = [list(row) for row in a]
+    for r, c in upper[k:]:
+        if draw(st.booleans()):
+            p = draw(_polys)
+            if r == c:
+                p = p + p.involve()
+            b[r][c], b[c][r] = p, p.involve()
+    return a, tuple(tuple(row) for row in b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermitian_pairs(), _bounds)
+def test_upper_triangle_keys_order_like_full_row_major_keys(pair, bounds):
+    a, b = pair
+    kernel = _Kernel(a, b, bounds, None)
+    full = ["\0".join(e.token() for row in m for e in row) for m in pair]
+    upper = [_state_key(kernel.state(m), kernel.packing) for m in pair]
+    assert (upper[0] < upper[1]) == (full[0] < full[1])
+    assert (upper[0] == upper[1]) == (full[0] == full[1])
