@@ -22,7 +22,6 @@ from .forms import (
     ReplayMismatch,
     certify_reduction,
     h2_sum,
-    matrix_from_json,
 )
 from .homology import ChainComplex, torsion_order
 from .search import (
@@ -206,7 +205,7 @@ def _replay_moves(obj: dict, form: HermitianForm) -> int:
         if not isinstance(obj["moves"], list):
             raise ValueError("moves must be a list")
         moves = [move_from_json(m) for m in obj["moves"]]
-        target_entries = matrix_from_json(obj["target"]) if "target" in obj else None
+        target = HermitianForm.from_json(obj["target"]) if "target" in obj else None
         for move in moves:
             for name in ("i", "j"):
                 index = getattr(move, name, None)  # a unit scale has no j
@@ -216,12 +215,14 @@ def _replay_moves(obj: dict, form: HermitianForm) -> int:
                     )
     except (KeyError, ValueError) as exc:
         raise InputError(f"bad move list: {exc}") from exc
+    if target is None:
+        target = h2_sum(form.rank // 2)
+    elif target.rank != form.rank:
+        raise InputError(f"rank mismatch: {form.rank} vs {target.rank}")
     entries = form.entries
     for move in moves:
         entries = apply_move(entries, move)
-    if target_entries is None:
-        target_entries = h2_sum(form.rank // 2).entries
-    if entries != target_entries:
+    if entries != target.entries:
         print("replay mismatch: moves do not reach the target", file=sys.stderr)
         return EXIT_REJECT
     print("replay ok")

@@ -12,7 +12,8 @@ Inside the search a state is a tuple of ints, one per upper-triangle
 entry, each entry packed by Kronecker substitution (`_Packing`): a ring
 operation of a move is one int operation, and deduplication hashes the
 tuples. Each successor is goal-checked as it is generated, behind a
-filter on where it differs from the target. Keys are built only for hits
+filter on where it differs from the target, a bit mask updated from the
+parent's at the entries the move writes. Keys are built only for hits
 and for a level that is about to be expanded; a stored level holds
 (packed state, move codes) pairs, and the last level is never stored.
 
@@ -402,8 +403,15 @@ class _DiagonalShifts:
     """The first box polynomial p, in canonical order, with
     p*a + involve(p*a) equal to a given value.
 
+    The map p -> p*a + involve(p*a) is Z-linear, so for each a the images
+    S_e of the monomials t^e, |e| <= degree, are packed once (`_Packing`)
+    and the image of a box polynomial is the int sum(c * S_e) over its
+    terms. An image has L1 norm at most 2(2d + 1)c|a|_1 and exponents
+    within d + radius(a), which give B and OFF; a value beyond either bound
+    is the image of no box polynomial and is answered at once.
+
     The box is scanned for each a only as far as a lookup needs, and the
-    values met are kept, so a kept a never multiplies the same p twice:
+    packed images met are kept, so a kept a never maps the same p twice:
     the goal checks of one search that reach this case mostly share a few
     values of a (such as the 1 - t of a block form). At most MAX_SCANS
     values of a are kept, the oldest dropped first, which bounds memory
@@ -412,26 +420,42 @@ class _DiagonalShifts:
 
     MAX_SCANS = 16
 
-    def __init__(self, box: tuple[LaurentPoly, ...]):
-        self._box = box
-        self._scans: dict[LaurentPoly, tuple[dict, Iterator[LaurentPoly]]] = {}
+    def __init__(self, degree: int, coeff: int):
+        self._degree, self._coeff = degree, coeff
+        self._box = _poly_box(degree, coeff)
+        self._scans: dict[LaurentPoly, tuple] = {}
 
     def first(self, a: LaurentPoly, value: LaurentPoly) -> Optional[LaurentPoly]:
         scan = self._scans.get(a)
         if scan is None:
             if len(self._scans) == self.MAX_SCANS:
                 del self._scans[next(iter(self._scans))]
-            scan = self._scans[a] = ({}, iter(self._box))
-        met, rest = scan
-        if value in met:
-            return met[value]
+            scan = self._scans[a] = self._scan(a)
+        packing, norm, radius, images, met, rest = scan
+        if _norm(value) > norm or _radius(value) > radius:
+            return None
+        packed = packing.pack(value)
+        if packed in met:
+            return met[packed]
         for p in rest:
-            pa = p * a
-            shift = pa + pa.involve()
-            met.setdefault(shift, p)
-            if shift == value:
+            image = sum([c * images[e] for e, c in p.terms()])
+            met.setdefault(image, p)
+            if image == packed:
                 return p
         return None
+
+    def _scan(self, a: LaurentPoly) -> tuple:
+        """(packing, norm bound, exponent bound, S_e by e, first p by
+        packed image, the rest of the box) for a."""
+        d = self._degree
+        norm = 2 * (2 * d + 1) * self._coeff * _norm(a)
+        radius = d + _radius(a)
+        packing = _Packing(norm.bit_length() + 1, radius)
+        images = {}
+        for e in range(-d, d + 1):
+            pa = LaurentPoly([(e + x, c) for x, c in a.terms()])
+            images[e] = packing.pack(pa + pa.involve())
+        return packing, norm, radius, images, {}, iter(self._box)
 
 
 def _find_goal_move(
@@ -604,16 +628,23 @@ class _Kernel:
             return self._units[code]
         return Swap(*self._swap_pairs[code - len(self._units)])
 
-    def successors(self, state: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(code, successor) for every move, in canonical move order:
+    def successors(self, state: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], int]]:
+        """(code, successor, mask) for every move, in canonical move order:
         transvections by j, then box polynomial, then i; unit scales; swaps.
 
         A transvection by p on (i, j) adds p * a[j][c] along row i and
         involve(p) * a[c][j] down column i, and both to the diagonal with
         p * involve(p) * a[j][j]; the products are shared across i. A unit
         scale is a shift and a swap a permutation of the full matrix.
+
+        mask is the successor's `_mask`: the state's own mask, computed
+        once, with its bits recomputed only at the positions the move
+        writes (at most n for a transvection or a unit scale, the rows of
+        i and j for a swap).
         """
         n, b, at = self.n, self.packing.bits, self._at
+        bits, goal = self._bits, self._target_state
+        parent = self._mask(state)
         full = [[0] * n for _ in range(n)]
         for (r, c), v in zip(self._positions, state):
             full[r][c] = v
@@ -639,40 +670,55 @@ class _Kernel:
                     ops += [(at[i][i], s), (at[i][i], m + s)]
                 if a_jj:
                     ops.append((at[i][i], 2 * m))
-                plans.append(ops)
+                written = sorted({k for k, _ in ops})
+                plans.append((ops, written, parent & ~sum(bits[k] for k in written)))
             for p, bar, pp in self._box:
                 vals = [(p * x) >> shift for x in row_j] + [(bar * x) >> shift for x in col_j]
                 if a_jj:
                     vals.append((pp * a_jj) >> 2 * shift)
-                for ops in plans:
+                for ops, written, mask in plans:
                     new = list(state)
                     for k, s in ops:
                         new[k] += vals[s]
-                    yield code, tuple(new)
+                    for k in written:
+                        if new[k] != goal[k]:
+                            mask |= bits[k]
+                    yield code, tuple(new), mask
                     code += 1
         for move in self._units:
             i, sign, up = move.i, move.sign, b * move.k
-            new = list(state)
+            new, written = list(state), []
             for c in range(n):
                 if c != i and full[i][c]:
                     # u * a[i][c] above the diagonal, a[c][i] * involve(u) below
                     s = up if c > i else -up
-                    v = state[at[i][c]]
-                    new[at[i][c]] = sign * (v << s if s >= 0 else v >> -s)
-            yield code, tuple(new)
+                    k = at[i][c]
+                    new[k] = sign * (state[k] << s if s >= 0 else state[k] >> -s)
+                    written.append(k)
+            yield code, tuple(new), self._remask(parent, new, written)
             code += 1
         for i, j in self._swap_pairs:
             perm = list(range(n))
             perm[i], perm[j] = j, i
-            yield code, tuple(full[perm[r]][perm[c]] for r, c in self._positions)
+            new = [full[perm[r]][perm[c]] for r, c in self._positions]
+            yield code, tuple(new), self._remask(parent, new, at[i] + at[j])
             code += 1
 
-    def goal_move(self, state: tuple[int, ...]) -> Optional[MoveSpec]:
-        """_find_goal_move of the state. The state is decoded only if the
-        entries where it differs from the target lie in the row and column
-        of one index; otherwise only a swap can reach the target, and only
-        from a swap of the target, which one lookup finds."""
-        mask = self._mask(state)
+    def _remask(self, mask: int, state, written) -> int:
+        """mask with its bits at the positions written recomputed for state."""
+        for k in written:
+            if state[k] != self._target_state[k]:
+                mask |= self._bits[k]
+            else:
+                mask &= ~self._bits[k]
+        return mask
+
+    def goal_move(self, state: tuple[int, ...], mask: int) -> Optional[MoveSpec]:
+        """_find_goal_move of the state, whose `_mask` is mask (as
+        successors() yields it). The state is decoded only if the entries
+        where it differs from the target lie in the row and column of one
+        index; otherwise only a swap can reach the target, and only from a
+        swap of the target, which one lookup finds."""
         kind = self._kinds.get(mask)
         if kind is None:
             kind = self._kinds[mask] = self._kind(mask)
@@ -735,7 +781,7 @@ def bounded_isometry_search(
         return SearchOutcome(EXHAUSTED)
     det_class = det_a.normalize_associate()[0] if verify_invariants else None
     _check_det_class(a.entries, det_class)
-    shifts = _DiagonalShifts(_poly_box(bounds.transvection_degree, bounds.transvection_coeff))
+    shifts = _DiagonalShifts(bounds.transvection_degree, bounds.transvection_coeff)
     hit = _find_goal_move(a.entries, target.entries, bounds, shifts)
     if hit is not None:
         return _verified_found(a, target, (hit,))
@@ -752,18 +798,20 @@ def bounded_isometry_search(
         best_key = best = None
         stored = []
         for state, codes in level:
-            for code, successor in kernel.successors(state):
+            for code, successor, mask in kernel.successors(state):
                 if det_class is not None:
                     entries = kernel.matrix(successor)
                     assert entries == apply_move(kernel.matrix(state), kernel.move(code)), \
                         "a packed successor differs from its move applied to the parent"
+                    assert mask == kernel._mask(successor), \
+                        "an incremental mismatch mask differs from the recomputed one"
                     _check_det_class(entries, det_class)
                 if successor in seen:
                     continue
                 if not final:
                     seen.add(successor)
                     stored.append((successor, codes + (code,)))
-                hit = kernel.goal_move(successor)
+                hit = kernel.goal_move(successor, mask)
                 if hit is None:
                     continue
                 key = _state_key(successor, kernel.packing)

@@ -353,6 +353,28 @@ def test_replay_move_list(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "target, message",
+    [
+        (h2_sum(2).to_json(), "rank mismatch: 2 vs 4"),
+        ({"rank": "2", "entries": [{}, {"0": "1"}, {"0": "2"}, {}]}, "not Hermitian at (0,1)"),
+    ],
+    ids=["rank_mismatch", "non_hermitian"],
+)
+def test_replay_move_list_bad_target(tmp_path, capsys, target, message):
+    # A target that no move list on this form can reach is malformed input
+    # (exit 2, as for search), not a replay mismatch (exit 1).
+    form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
+    moves = {
+        "moves": [{"kind": "transvection", "i": "1", "j": "0", "p": {"0": "-1"}}],
+        "target": target,
+    }
+    assert main(["replay", write_json(tmp_path / "moves.json", moves), form_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "replay mismatch" not in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize(
     "move, message",
     [
         ({"kind": "swap", "i": "7", "j": "1"}, "move index i=7 is out of range for rank 2"),

@@ -31,6 +31,7 @@ from laurentforms.search import (
     _DiagonalShifts,
     _Kernel,
     _Packing,
+    _norm,
     _poly_box,
     _state_key,
     apply_move,
@@ -288,17 +289,39 @@ def test_state_key_orders_like_token_tuples(pair):
 
 
 def test_diagonal_shifts_match_a_box_scan(rng):
-    # The first p in box order with p*a + involve(p*a) == d, as a plain scan
-    # finds it, under interleaved lookups on more values of a than are kept.
-    box = _poly_box(1, 2)
-    shifts = _DiagonalShifts(box)
-    values_of_a = [rand_poly(rng, -1, 1, 2, allow_zero=False) for _ in range(20)]
-    for _ in range(300):
-        a = rng.choice(values_of_a)
-        d = rng.choice(box) * a
-        d = d + d.involve() if rng.random() < 0.8 else rand_poly(rng, -2, 2, 3)
-        scan = next((p for p in box if p * a + (p * a).involve() == d), None)
-        assert shifts.first(a, d) == scan
+    # The first p in box order with p*a + involve(p*a) == d, as a plain
+    # LaurentPoly scan finds it, under interleaved lookups on more values of
+    # a than are kept, among them the wide-span t^40 - 3t^-7 and a = 1, where
+    # the last box polynomial (every coefficient c) has an image on the norm
+    # bound 2(2d+1)c|a|_1; on degree-0 boxes too; and with values beyond the
+    # norm or the exponent bound of the images.
+    for degree, coeff in ((1, 2), (0, 3), (2, 1)):
+        box = _poly_box(degree, coeff)
+        shifts = _DiagonalShifts(degree, coeff)
+        values_of_a = [rand_poly(rng, -1, 1, 2, allow_zero=False)
+                       for _ in range(2 * _DiagonalShifts.MAX_SCANS)]
+        values_of_a += [ONE, L({40: 1, -7: -3})]
+        images = {a: [p * a + (p * a).involve() for p in box] for a in values_of_a}
+        for _ in range(500):
+            a = rng.choice(values_of_a)
+            norm = 2 * (2 * degree + 1) * coeff * sum(abs(c) for _, c in a.terms())
+            radius = degree + max(abs(e) for e in a.support())
+            d = rng.choice(images[a])
+            kind = rng.random()
+            if kind < 0.15:
+                d = rand_poly(rng, -2, 2, 3)
+            elif kind < 0.25:
+                e = rng.randint(-radius, radius)
+                d = d + L({e: (1 if d.coeff(e) >= 0 else -1) * (norm + 1)})
+            elif kind < 0.35:
+                d = d + L({rng.choice([1, -1]) * (radius + rng.randint(1, 3)): 1})
+            elif kind < 0.45:
+                d = images[a][-1]
+            scan = next((p for p, image in zip(box, images[a]) if image == d), None)
+            assert shifts.first(a, d) == scan
+        assert len(shifts._scans) == _DiagonalShifts.MAX_SCANS
+        assert shifts.first(ONE, images[ONE][-1]) == box[-1]
+        assert _norm(images[ONE][-1]) == 2 * (2 * degree + 1) * coeff
 
 
 def test_level_states_rebuild_to_their_keys():
@@ -314,7 +337,7 @@ def test_level_states_rebuild_to_their_keys():
         for depth in (1, 2):
             stored = []
             for state, codes in level[:40]:
-                for code, successor in kernel.successors(state):
+                for code, successor, _ in kernel.successors(state):
                     if successor not in seen:
                         seen.add(successor)
                         stored.append((successor, codes + (code,)))

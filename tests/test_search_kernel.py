@@ -3,7 +3,9 @@
 States are random Hermitian matrices of rank 2-4; each test compares the
 packed kernel with the LaurentPoly reference it replaces: `apply_move` for
 successors, `LaurentPoly` itself for packing, `_find_goal_move` for goal
-checks, and full row-major token keys for key order.
+checks, and full row-major token keys for key order; the mismatch masks
+that successors() carries over from the parent are compared with `_mask`
+computed from scratch.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -42,7 +44,7 @@ _bounds = st.builds(SearchBounds, st.integers(2, 3), st.integers(0, 1), st.integ
 
 
 def _shifts(bounds):
-    return _DiagonalShifts(_poly_box(bounds.transvection_degree, bounds.transvection_coeff))
+    return _DiagonalShifts(bounds.transvection_degree, bounds.transvection_coeff)
 
 
 def _canonical_moves(n, bounds):
@@ -70,15 +72,37 @@ def test_packed_successors_equal_apply_move(entries, bounds, data):
     assert kernel.matrix(root) == entries
     moves = _canonical_moves(len(entries), bounds)
     successors = list(kernel.successors(root))
-    assert [code for code, _ in successors] == list(range(len(moves)))
-    for code, successor in successors:
+    assert [code for code, _, _ in successors] == list(range(len(moves)))
+    for code, successor, _ in successors:
         assert kernel.move(code) == moves[code]
         assert kernel.matrix(successor) == apply_move(entries, moves[code])
     if bounds.max_depth == 3:
-        code, state = data.draw(st.sampled_from(successors))
+        code, state, _ = data.draw(st.sampled_from(successors))
         parent = apply_move(entries, moves[code])
-        for code, successor in kernel.successors(state):
+        for code, successor, _ in kernel.successors(state):
             assert kernel.matrix(successor) == apply_move(parent, moves[code])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_yielded_masks_equal_recomputed_masks(entries, bounds, data):
+    # A target equal to the root, one move from it or unrelated, so that
+    # masks have both set and clear bits; every move kind, from the root
+    # and from one of its successors.
+    n = len(entries)
+    moves = _canonical_moves(n, bounds)
+    target = data.draw(st.one_of(st.just(entries),
+                                 st.sampled_from(moves).map(lambda m: apply_move(entries, m)),
+                                 _hermitian(n)))
+    kernel = _Kernel(entries, target, bounds, None)
+    successors = list(kernel.successors(kernel.state(entries)))
+    assert len(successors) == len(moves)
+    for _, successor, mask in successors:
+        assert mask == kernel._mask(successor)
+    if bounds.max_depth == 3:
+        _, state, _ = data.draw(st.sampled_from(successors))
+        for _, successor, mask in kernel.successors(state):
+            assert mask == kernel._mask(successor)
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,7 +135,8 @@ def test_filtered_goal_check_matches_find_goal_move(target, bounds, data):
     for state in states:
         kernel = _Kernel(state, target, bounds, _shifts(bounds))
         expected = _find_goal_move(state, target, bounds, _shifts(bounds))
-        assert kernel.goal_move(kernel.state(state)) == expected
+        packed = kernel.state(state)
+        assert kernel.goal_move(packed, kernel._mask(packed)) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,7 +158,8 @@ def test_bits_cover_a_target_far_larger_than_the_root(bits, data):
     assert kernel.packing.bits > bits
     expected = _find_goal_move(state, target, bounds, _shifts(bounds))
     assert expected is not None
-    assert kernel.goal_move(kernel.state(state)) == expected
+    packed = kernel.state(state)
+    assert kernel.goal_move(packed, kernel._mask(packed)) == expected
 
 
 @st.composite
