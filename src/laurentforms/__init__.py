@@ -18,7 +18,6 @@ from .laurent import (
     ONE_MINUS_T_INV,
     assoc_eq,
     iota,
-    t_power,
 )
 from .forms import (
     BaseChange,
@@ -33,8 +32,6 @@ from .forms import (
     determinant,
     h2_sum,
     prenormalize_units,
-    recognize_block_form,
-    reduce_to_standard,
     solve_hermitian_zero_aug,
 )
 from .wallcalc import (
@@ -46,7 +43,6 @@ from .wallcalc import (
     mu,
     pairing_shape_check,
     project,
-    relabel_invariance,
 )
 from .homology import ChainComplex, rank_qt, torsion_order
 from .search import (
@@ -60,7 +56,6 @@ from .search import (
     UnitScale,
     bounded_isometry_search,
     conjecture_probe,
-    det_obstruction,
     stabilize,
 )
 

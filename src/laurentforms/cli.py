@@ -56,6 +56,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -168,8 +170,6 @@ def _cmd_homology(args) -> int:
 def _cmd_search(args) -> int:
     form = _load_form(args.form)
     target = _load_form(args.target)
-    if form.rank != target.rank:
-        raise InputError(f"rank mismatch: {form.rank} vs {target.rank}")
     outcome = bounded_isometry_search(form, target, _bounds_from_args(args))
     _emit(outcome.to_json(), args.output)
     return EXIT_OK if outcome.found else EXIT_REJECT
@@ -177,8 +177,6 @@ def _cmd_search(args) -> int:
 
 def _cmd_probe(args) -> int:
     form = _load_form(args.form)
-    if form.rank not in (2, 4):
-        raise InputError(f"probe needs rank 2 or 4, got {form.rank}")
     report = conjecture_probe(form, _bounds_from_args(args))
     _emit(report.to_json(), args.output)
     return EXIT_OK

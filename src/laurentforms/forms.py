@@ -13,7 +13,7 @@ determinant identity det(A) = (1-t)^g (1-t^-1)^g up to units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .laurent import (
@@ -22,7 +22,6 @@ from .laurent import (
     ONE_MINUS_T_INV,
     ZERO,
     LaurentPoly,
-    UnitWitness,
     int_from_json,
     iota,
 )
@@ -201,13 +200,6 @@ class HermitianForm:
     def rank(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
-
-    def augmented(self) -> tuple[tuple[int, ...], ...]:
-        """The integer matrix of coefficient sums (evaluation at t = 1)."""
-        return tuple(tuple(e.augment() for e in row) for row in self.entries)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, HermitianForm):
             return self.entries == other.entries
@@ -221,10 +213,7 @@ class HermitianForm:
         return f"HermitianForm[{body}]"
 
     def to_json(self) -> dict:
-        return {
-            "rank": str(self.rank),
-            "entries": [e.to_json() for row in self.entries for e in row],
-        }
+        return matrix_to_json(self.entries)
 
     @classmethod
     def from_json(cls, obj) -> HermitianForm:
@@ -264,22 +253,15 @@ def matrix_from_json(obj) -> Matrix:
 class BaseChange:
     """An invertible matrix P over the ring, with det(P) = +-t^k certified.
 
-    The constructor computes det(P) once and keeps its unit witness; it
-    raises ValueError when det(P) is not a unit.
+    The constructor computes det(P) once and raises ValueError when it is
+    not a unit.
     """
 
     matrix: Matrix
-    determinant_witness: UnitWitness = field(init=False)
 
     def __post_init__(self):
-        w = determinant(self.matrix).is_unit()
-        if w is None:
+        if determinant(self.matrix).is_unit() is None:
             raise ValueError("matrix is not invertible over the ring")
-        object.__setattr__(self, "determinant_witness", w)
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -416,18 +398,14 @@ def solve_hermitian_zero_aug(d: LaurentPoly) -> Optional[LaurentPoly]:
     return c
 
 
-def recognize_block_form(a: HermitianForm) -> Optional[list[LaurentPoly]]:
+def _recognize_with_reason(a: HermitianForm) -> tuple[Optional[list[LaurentPoly]], Optional[str]]:
     """Recover [c_1, ..., c_g] when A is in the recognized block shape.
 
     The shape is block-diagonal in consecutive 2x2 blocks
     [[0, 1-t], [1-t^-1, d_k]] with d_k = c_k(1-t) + c_k~(1-t^-1); all
-    cross-block entries must be exactly zero. Returns None otherwise.
+    cross-block entries must be exactly zero. Returns (cs, None), or
+    (None, reason) naming the first condition that fails.
     """
-    cs, _ = _recognize_with_reason(a)
-    return cs
-
-
-def _recognize_with_reason(a: HermitianForm):
     n = a.rank
     if n % 2 != 0:
         return None, f"rank {n} is odd"
@@ -489,13 +467,6 @@ def prenormalize_units(a: HermitianForm) -> tuple[Matrix, HermitianForm]:
         tuple(units[i] if i == j else ZERO for j in range(n)) for i in range(n)
     )
     return d, congruence(d, a)
-
-
-def reduce_to_standard(
-    a: HermitianForm, prenormalize: bool = False
-) -> Optional[ReductionCertificate]:
-    """The certificate of `certify_reduction`, or None when recognition fails."""
-    return certify_reduction(a, prenormalize).certificate
 
 
 def det_congruence_check(b: Sequence[Sequence], a: HermitianForm) -> bool:

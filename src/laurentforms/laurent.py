@@ -27,24 +27,11 @@ class UnitWitness:
         if self.sign not in (1, -1):
             raise ValueError(f"unit sign must be +1 or -1, got {self.sign!r}")
 
-    def compose(self, other: UnitWitness) -> UnitWitness:
-        return UnitWitness(self.sign * other.sign, self.exponent + other.exponent)
-
     def involve(self) -> UnitWitness:
         return UnitWitness(self.sign, -self.exponent)
 
     def as_poly(self) -> LaurentPoly:
         return LaurentPoly({self.exponent: self.sign})
-
-    def to_json(self) -> dict:
-        return {"sign": f"{self.sign:+d}", "exponent": str(self.exponent)}
-
-    @classmethod
-    def from_json(cls, obj) -> UnitWitness:
-        if not isinstance(obj, dict) or not {"sign", "exponent"} <= obj.keys():
-            raise ValueError("unit witness must be an object with sign/exponent")
-        return cls(int_from_json(obj["sign"], "unit sign"),
-                   int_from_json(obj["exponent"], "unit exponent"))
 
 
 class LaurentPoly:
@@ -71,10 +58,6 @@ class LaurentPoly:
         self._coeffs = data
         self._terms: tuple[tuple[int, int], ...] | None = None
         self._token: str | None = None
-
-    @classmethod
-    def term(cls, coeff: int, exponent: int = 0) -> LaurentPoly:
-        return cls({exponent: coeff})
 
     # -- basic structure ------------------------------------------------
 
@@ -341,10 +324,6 @@ def iota(n: int) -> LaurentPoly:
     if not isinstance(n, int):
         raise TypeError("iota takes an integer")
     return LaurentPoly({0: n})
-
-
-def t_power(k: int) -> LaurentPoly:
-    return LaurentPoly({k: 1})
 
 
 def assoc_eq(p: LaurentPoly, q: LaurentPoly) -> bool:

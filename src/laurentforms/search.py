@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .laurent import ZERO, ONE, LaurentPoly, assoc_eq, int_from_json
+from .laurent import ZERO, LaurentPoly, assoc_eq, int_from_json
 from .forms import (
     BaseChange,
     HermitianForm,
@@ -38,7 +38,7 @@ from .forms import (
     determinant,
     h2_sum,
     identity,
-    mat_mul,
+    matrix_to_json,
     nonnegative_int_from_json,
 )
 
@@ -59,11 +59,6 @@ class Transvection:
             raise ValueError("transvection needs distinct indices")
         if self.p.is_zero:
             raise ValueError("transvection polynomial must be nonzero")
-
-    def matrix(self, n: int) -> Matrix:
-        rows = [list(row) for row in identity(n)]
-        rows[self.i][self.j] = self.p
-        return tuple(tuple(row) for row in rows)
 
     def to_json(self) -> dict:
         return {
@@ -89,11 +84,6 @@ class UnitScale:
     def unit(self) -> LaurentPoly:
         return LaurentPoly({self.k: self.sign})
 
-    def matrix(self, n: int) -> Matrix:
-        rows = [list(row) for row in identity(n)]
-        rows[self.i][self.i] = self.unit()
-        return tuple(tuple(row) for row in rows)
-
     def to_json(self) -> dict:
         return {
             "kind": "unit_scale",
@@ -113,14 +103,6 @@ class Swap:
     def __post_init__(self):
         if self.i == self.j:
             raise ValueError("swap needs distinct indices")
-
-    def matrix(self, n: int) -> Matrix:
-        rows = [list(row) for row in identity(n)]
-        rows[self.i][self.i] = ZERO
-        rows[self.j][self.j] = ZERO
-        rows[self.i][self.j] = ONE
-        rows[self.j][self.i] = ONE
-        return tuple(tuple(row) for row in rows)
 
     def to_json(self) -> dict:
         return {"kind": "swap", "i": str(self.i), "j": str(self.j)}
@@ -204,23 +186,13 @@ class SearchOutcome:
         out: dict = {"status": self.status}
         if self.status == FOUND:
             out["moves"] = [m.to_json() for m in self.moves]
-            out["P"] = {
-                "rank": str(self.base_change.rank),
-                "entries": [e.to_json() for row in self.base_change.matrix for e in row],
-            }
+            out["P"] = matrix_to_json(self.base_change.matrix)
         if self.reason is not None:
             out["reason"] = self.reason
         return out
 
 
 # -- obstruction -------------------------------------------------------------
-
-
-def det_obstruction(a: HermitianForm, g: int) -> Optional[str]:
-    """A reason the form cannot be congruent to the standard genus-g form."""
-    if a.rank != 2 * g:
-        raise ValueError(f"form rank {a.rank} does not match genus {g}")
-    return _det_obstruction(determinant(a), h2_sum(g))
 
 
 def _det_obstruction(det_a: LaurentPoly, target: HermitianForm) -> Optional[str]:
@@ -838,10 +810,23 @@ def _verified_found(
 ) -> SearchOutcome:
     p = identity(a.rank)
     for move in moves:
-        p = mat_mul(move.matrix(a.rank), p)
+        p = _row_move(p, move)
     if congruence(p, a).entries != target.entries:
         raise RuntimeError("search produced a move list that does not replay")
     return SearchOutcome(FOUND, moves=moves, base_change=BaseChange(p))
+
+
+def _row_move(p: Matrix, move: MoveSpec) -> Matrix:
+    """E P, with E the elementary matrix of `move`, as a row operation on P."""
+    rows = list(p)
+    if isinstance(move, Transvection):
+        rows[move.i] = tuple(x + move.p * y for x, y in zip(rows[move.i], rows[move.j]))
+    elif isinstance(move, UnitScale):
+        u = move.unit()
+        rows[move.i] = tuple(u * x for x in rows[move.i])
+    else:  # Swap
+        rows[move.i], rows[move.j] = rows[move.j], rows[move.i]
+    return tuple(rows)
 
 
 # -- stabilization and the conjecture probe -----------------------------------

@@ -18,7 +18,7 @@ lifting the quotient class symmetrically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .laurent import LaurentPoly, int_from_json, iota
 from .forms import solve_hermitian_zero_aug
@@ -56,13 +56,6 @@ class WallClass:
                     data[r] = c
         self._coeffs = data
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coeff(self, r: int) -> int:
-        return self._coeffs.get(r, 0)
-
     def terms(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._coeffs.items()))
 
@@ -76,11 +69,6 @@ class WallClass:
                 del out[r]
         w = WallClass()
         w._coeffs = out
-        return w
-
-    def __neg__(self) -> "WallClass":
-        w = WallClass()
-        w._coeffs = {r: -c for r, c in self._coeffs.items()}
         return w
 
     def __eq__(self, other) -> bool:
@@ -226,20 +214,3 @@ def pairing_shape_check(surface: SurfaceModel) -> Optional[LaurentPoly]:
     if c is None:
         raise RuntimeError("shape solver failed under its guaranteed precondition")
     return c
-
-
-def relabel_invariance(surface: SurfaceModel, permutation: Sequence[int]) -> bool:
-    """Check mu and lambda are unchanged by a data-preserving relabeling.
-
-    The relabeling is given as a permutation of event indices; it
-    tautologically preserves each event's (kind, sign, exponent).
-    """
-    n = len(surface.events)
-    if sorted(permutation) != list(range(n)):
-        raise ValueError("relabeling must be a permutation of the event indices")
-    relabeled = SurfaceModel(
-        label=surface.label,
-        events=tuple(surface.events[i] for i in permutation),
-        euler=surface.euler,
-    )
-    return mu(relabeled) == mu(surface) and lambda_self(relabeled) == lambda_self(surface)

@@ -241,6 +241,40 @@ def test_probe_command(tmp_path, capsys):
     assert out["candidate_for_deeper_bounds"] is False
 
 
+def test_search_rank_mismatch_exits_two(tmp_path, capsys):
+    a_path = write_json(tmp_path / "a.json", rank2_fixture_json())
+    t_path = write_json(tmp_path / "h2x2.json", h2_sum(2).to_json())
+    assert main(["search", a_path, t_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank mismatch: 2 vs 4\n"
+
+
+def test_probe_rank_six_exits_two(tmp_path, capsys):
+    a_path = write_json(tmp_path / "h2x3.json", h2_sum(3).to_json())
+    assert main(["probe", a_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "got 6" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, paths",
+    [
+        ("check", 1), ("reduce", 1), ("wall", 1), ("homology", 1),
+        ("search", 2), ("probe", 1), ("replay", 2),
+    ],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command, paths):
+    # Deep enough to exhaust the JSON decoder's recursion limit.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert main([command] + [str(path)] * paths) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+
+
 def test_replay_round_trip(tmp_path, capsys):
     form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
     cert_path = str(tmp_path / "cert.json")

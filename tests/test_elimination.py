@@ -20,7 +20,7 @@ from laurentforms import (
     rank_qt,
     torsion_order,
 )
-from laurentforms.forms import HermitianForm, mat_mul, reduce_to_standard
+from laurentforms.forms import HermitianForm, certify_reduction, mat_mul
 
 from conftest import block_form, rand_poly
 
@@ -119,7 +119,7 @@ def test_determinant_matches_laplace_on_recognized_forms():
     for g in (1, 2, 3, 5, 8, 12, 16):
         form = block_form([rand_poly(rng) for _ in range(g)])
         assert determinant(form) == laplace_determinant(form)
-        p = reduce_to_standard(form).reduction.matrix
+        p = certify_reduction(form).certificate.reduction.matrix
         assert determinant(p) == laplace_determinant(p)
 
 

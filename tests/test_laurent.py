@@ -13,7 +13,6 @@ from laurentforms import (
     ZERO,
     assoc_eq,
     iota,
-    t_power,
 )
 
 from conftest import rand_poly
@@ -31,7 +30,7 @@ def test_add_examples():
 
 def test_mul_examples():
     assert ONE_MINUS_T * ONE_MINUS_T_INV == L({0: 2, 1: -1, -1: -1})
-    assert (-t_power(3)) * ONE_MINUS_T_INV == L({2: 1, 3: -1})
+    assert (-L({3: 1})) * ONE_MINUS_T_INV == L({2: 1, 3: -1})
     assert rand_poly(random.Random(1)) * ZERO == ZERO
 
 
@@ -59,14 +58,14 @@ def test_involve_is_ring_map(rng):
 
 
 def test_is_unit_examples():
-    assert (-t_power(5)).is_unit() == UnitWitness(-1, 5)
+    assert (-L({5: 1})).is_unit() == UnitWitness(-1, 5)
     assert ONE_MINUS_T.is_unit() is None
     assert (2 * T).is_unit() is None
     assert ZERO.is_unit() is None
 
 
 def test_normalize_examples():
-    assert (t_power(2) - t_power(3)).normalize_associate() == (ONE_MINUS_T, UnitWitness(1, 2))
+    assert (L({2: 1}) - L({3: 1})).normalize_associate() == (ONE_MINUS_T, UnitWitness(1, 2))
     assert ONE_MINUS_T_INV.normalize_associate() == (ONE_MINUS_T, UnitWitness(-1, -1))
     assert ZERO.normalize_associate() == (ZERO, UnitWitness(1, 0))
 
@@ -85,7 +84,7 @@ def test_assoc_eq_examples():
     assert assoc_eq(ONE_MINUS_T, ONE_MINUS_T_INV)
     assert not assoc_eq(ONE_MINUS_T, ONE + T)
     p = L({0: 2, 1: -1, -1: -1})
-    assert assoc_eq(p, -t_power(4) * p)
+    assert assoc_eq(p, -L({4: 1}) * p)
 
 
 def test_assoc_eq_is_equivalence(rng):
@@ -198,7 +197,7 @@ def test_pow_and_units():
     assert (ONE_MINUS_T ** 0) == ONE
     assert (ONE_MINUS_T ** 2) == L({0: 1, 1: -2, 2: 1})
     w = UnitWitness(-1, 3)
-    assert w.compose(w.involve()) == UnitWitness(1, 0)
+    assert w.as_poly() * w.involve().as_poly() == ONE
     assert w.involve() == UnitWitness(-1, -3)
     with pytest.raises(ValueError):
         UnitWitness(2, 0)
@@ -219,14 +218,6 @@ def test_from_json_accepts_only_integers():
                 {"0": "1.5"}, {"0": [1]}, {"x": "1"}):
         with pytest.raises(ValueError, match="bad polynomial term"):
             LaurentPoly.from_json(bad)
-
-
-def test_unit_witness_from_json_accepts_only_integers():
-    assert UnitWitness.from_json({"sign": "-1", "exponent": 2}) == UnitWitness(-1, 2)
-    for bad in ({"sign": True, "exponent": "0"}, {"sign": "1", "exponent": 1.5},
-                {"sign": None, "exponent": "0"}, {"sign": "1"}, ["1", "0"]):
-        with pytest.raises(ValueError):
-            UnitWitness.from_json(bad)
 
 
 def test_token_zero_sorts_first(rng):

@@ -15,13 +15,12 @@ from laurentforms import (
     UnitScale,
     ZERO,
     bounded_isometry_search,
+    certify_reduction,
     congruence,
     conjecture_probe,
-    det_obstruction,
     determinant,
     h2_sum,
     stabilize,
-    recognize_block_form,
 )
 import laurentforms.search
 from laurentforms.search import (
@@ -33,9 +32,11 @@ from laurentforms.search import (
     _Packing,
     _norm,
     _poly_box,
+    _row_move,
     _state_key,
     apply_move,
 )
+from laurentforms.forms import identity
 
 from conftest import block_form, load_search_golden, rand_poly
 
@@ -49,12 +50,13 @@ def rank2_fixture() -> HermitianForm:
 
 
 def test_det_obstruction_examples():
-    assert det_obstruction(rank2_fixture(), 1) is None
+    no_moves = SearchBounds(0, 0, 0, 0)
+    assert bounded_isometry_search(rank2_fixture(), h2_sum(1), no_moves).status == EXHAUSTED
     bad = HermitianForm([[ZERO, ONE + T], [ONE + T_INV, ZERO]])
-    assert det_obstruction(bad, 1) is not None
-    assert det_obstruction(h2_sum(2), 2) is None
+    assert bounded_isometry_search(bad, h2_sum(1), no_moves).status == OBSTRUCTION_MISMATCH
+    assert bounded_isometry_search(h2_sum(2), h2_sum(2), no_moves).status == FOUND
     with pytest.raises(ValueError):
-        det_obstruction(h2_sum(1), 2)
+        bounded_isometry_search(h2_sum(1), h2_sum(2), no_moves)
 
 
 def test_search_finds_single_transvection():
@@ -110,7 +112,7 @@ def test_move_matrices_have_unit_determinant():
         Swap(0, 3),
     ]
     for move in moves:
-        assert determinant(move.matrix(n)).is_unit() is not None
+        assert determinant(_row_move(identity(n), move)).is_unit() is not None
 
 
 def test_moves_preserve_determinant_class(rng):
@@ -142,7 +144,7 @@ def test_apply_move_matches_congruence(rng):
             ]
         )
         direct = apply_move(form.entries, move)
-        assert direct == congruence(move.matrix(n), form).entries
+        assert direct == congruence(_row_move(identity(n), move), form).entries
 
 
 def test_search_determinism():
@@ -360,7 +362,7 @@ def test_stabilize_examples():
     assert stabilize(a, 0) == a
     stabilized = stabilize(a, 1)
     assert stabilized.rank == 4
-    assert recognize_block_form(stabilized) == [ONE, ZERO]
+    assert certify_reduction(stabilized).certificate.c_list == (ONE, ZERO)
     with pytest.raises(ValueError):
         stabilize(a, -1)
 

@@ -16,8 +16,6 @@ from laurentforms import (
     mu,
     pairing_shape_check,
     project,
-    relabel_invariance,
-    t_power,
 )
 from laurentforms.wallcalc import (
     DISC_SELF_INTERSECTION,
@@ -43,7 +41,7 @@ def test_project_is_additive(rng):
         q = rand_poly(rng, -4, 4, 5)
         assert project(p + q) == project(p) + project(q)
     for k in range(-5, 6):
-        assert project(t_power(k)) == project(t_power(-k))
+        assert project(L({k: 1})) == project(L({-k: 1}))
 
 
 def test_hermitize_examples():
@@ -89,7 +87,7 @@ def test_event_contributions():
     for kind, factor in rules.items():
         for sign in (1, -1):
             for k in range(-4, 5):
-                expected = L({0: sign}) * t_power(k) * factor
+                expected = L({0: sign}) * L({k: 1}) * factor
                 assert IntersectionEvent(kind, sign, k).contribution() == expected
     with pytest.raises(ValueError):
         IntersectionEvent("unknown", 1, 0)
@@ -174,6 +172,23 @@ def test_pairing_shape_check_property(rng):
         assert lam.augment() == 0
         c = pairing_shape_check(s)
         assert hermitian_diagonal_entry(c) == lam
+
+
+def relabel_invariance(surface: SurfaceModel, permutation) -> bool:
+    """Check mu and lambda are unchanged by a data-preserving relabeling.
+
+    The relabeling is given as a permutation of event indices; it
+    tautologically preserves each event's (kind, sign, exponent).
+    """
+    n = len(surface.events)
+    if sorted(permutation) != list(range(n)):
+        raise ValueError("relabeling must be a permutation of the event indices")
+    relabeled = SurfaceModel(
+        label=surface.label,
+        events=tuple(surface.events[i] for i in permutation),
+        euler=surface.euler,
+    )
+    return mu(relabeled) == mu(surface) and lambda_self(relabeled) == lambda_self(surface)
 
 
 def test_relabel_invariance(rng):
