@@ -64,23 +64,10 @@ def _load_json(path: str):
         ) from exc
 
 
-def _load_form(path: str) -> HermitianForm:
+def _load(path: str, parse):
+    """parse applied to the JSON in path; its ValueError becomes InputError."""
     try:
-        return HermitianForm.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_surface(path: str) -> SurfaceModel:
-    try:
-        return SurfaceModel.from_json(_load_json(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _load_complex(path: str) -> ChainComplex:
-    try:
-        return ChainComplex.from_json(_load_json(path))
+        return parse(_load_json(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -88,8 +75,11 @@ def _load_complex(path: str) -> ChainComplex:
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -107,14 +97,14 @@ def _bounds_from_args(args) -> SearchBounds:
 
 
 def _cmd_check(args) -> int:
-    form = _load_form(args.form)
+    form = _load(args.form, HermitianForm.from_json)
     verdict = certify_reduction(form, prenormalize=args.prenormalize)
     _emit(verdict.to_json(), args.output)
     return EXIT_OK if verdict.accepted else EXIT_REJECT
 
 
 def _cmd_reduce(args) -> int:
-    form = _load_form(args.form)
+    form = _load(args.form, HermitianForm.from_json)
     verdict = certify_reduction(form, prenormalize=args.prenormalize)
     if not verdict.accepted:
         _emit({"verdict": "reject", "reason": verdict.reason}, args.output)
@@ -124,7 +114,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_wall(args) -> int:
-    surface = _load_surface(args.surface)
+    surface = _load(args.surface, SurfaceModel.from_json)
     mu_class = mu(surface)
     lam = lambda_self(surface)
     payload = {
@@ -145,7 +135,7 @@ def _cmd_wall(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    complex_ = _load_complex(args.complex)
+    complex_ = _load(args.complex, ChainComplex.from_json)
     betti = complex_.betti_qt()
     torsion = []
     for d in complex_.differentials:
@@ -168,22 +158,22 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    form = _load_form(args.form)
-    target = _load_form(args.target)
+    form = _load(args.form, HermitianForm.from_json)
+    target = _load(args.target, HermitianForm.from_json)
     outcome = bounded_isometry_search(form, target, _bounds_from_args(args))
     _emit(outcome.to_json(), args.output)
     return EXIT_OK if outcome.found else EXIT_REJECT
 
 
 def _cmd_probe(args) -> int:
-    form = _load_form(args.form)
+    form = _load(args.form, HermitianForm.from_json)
     report = conjecture_probe(form, _bounds_from_args(args))
     _emit(report.to_json(), args.output)
     return EXIT_OK
 
 
 def _cmd_replay(args) -> int:
-    form = _load_form(args.form)
+    form = _load(args.form, HermitianForm.from_json)
     obj = _load_json(args.certificate)
     if isinstance(obj, dict) and "moves" in obj:
         return _replay_moves(obj, form)

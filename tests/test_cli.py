@@ -455,3 +455,14 @@ def test_output_numbers_are_decimal_strings(tmp_path, capsys):
         return not isinstance(node, (int, float))
 
     assert no_bare_numbers(json.loads(out))
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_output_to_an_unwritable_path_exits_two(tmp_path, capsys, where):
+    form_path = write_json(tmp_path / "form.json", rank2_fixture_json())
+    out = tmp_path / "missing" / "out.json" if where == "missing_dir" else tmp_path
+    assert main(["check", form_path, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err

@@ -22,7 +22,6 @@ from laurentforms import (
     h2_sum,
     stabilize,
 )
-import laurentforms.search
 from laurentforms.search import (
     EXHAUSTED,
     FOUND,
@@ -39,6 +38,7 @@ from laurentforms.search import (
 from laurentforms.forms import identity
 
 from conftest import block_form, load_search_golden, rand_poly
+from test_search_kernel import _hermitian
 
 
 L = LaurentPoly
@@ -130,21 +130,26 @@ def test_moves_preserve_determinant_class(rng):
         assert determinant(entries).normalize_associate()[0] == det_class
 
 
-def test_apply_move_matches_congruence(rng):
-    for _ in range(30):
-        g = rng.choice([1, 2])
-        form = block_form([rand_poly(rng) for _ in range(g)])
-        n = 2 * g
-        i, j = rng.sample(range(n), 2)
-        move = rng.choice(
-            [
-                Transvection(i, j, rand_poly(rng, -2, 2, 2, allow_zero=False)),
-                UnitScale(i, rng.choice([1, -1]), rng.randint(-2, 2)),
-                Swap(min(i, j), max(i, j)),
-            ]
-        )
-        direct = apply_move(form.entries, move)
-        assert direct == congruence(_row_move(identity(n), move), form).entries
+_small_polys = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=5).map(LaurentPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian(), st.data())
+def test_apply_move_matches_congruence(hermitian, data):
+    # On a block form and on a random Hermitian matrix of rank 2-4, each
+    # move kind applied as E (E A)* equals E A E* formed by matrix products.
+    cs = data.draw(st.lists(_small_polys, min_size=1, max_size=2))
+    for form in (block_form(cs), HermitianForm(hermitian)):
+        n = form.rank
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        moves = [
+            Transvection(i, j, data.draw(_small_polys.filter(lambda p: not p.is_zero))),
+            UnitScale(i, data.draw(st.sampled_from([1, -1])), data.draw(st.integers(-2, 2))),
+            Swap(min(i, j), max(i, j)),
+        ]
+        for move in moves:
+            direct = apply_move(form.entries, move)
+            assert direct == congruence(_row_move(identity(n), move), form).entries
 
 
 def test_search_determinism():
@@ -176,38 +181,39 @@ def test_search_monotone_in_bounds(rng):
         assert bounded_isometry_search(instance, h2_sum(g), wider).status == FOUND
 
 
-def test_search_with_invariant_assertions(monkeypatch):
-    form = block_form([ONE + T])
-    out = bounded_isometry_search(form, h2_sum(1), BOUNDS, verify_invariants=True)
-    assert out.status == FOUND
-
-    # A depth-2 search whose hit lies on the final level: the determinant
-    # class is asserted on every streamed successor of the root.
-    pinned = load_search_golden()["final_level"][0]
-    form = HermitianForm.from_json(pinned["form"])
-    calls = []
-    real_determinant = laurentforms.search.determinant
-
-    def counting_determinant(m):
-        calls.append(m)
-        return real_determinant(m)
-
-    monkeypatch.setattr(laurentforms.search, "determinant", counting_determinant)
-    out = bounded_isometry_search(form, h2_sum(1), BOUNDS, verify_invariants=True)
-    assert out.to_json() == pinned["outcome"] and len(out.moves) == 2
-    kernel = _Kernel(form.entries, h2_sum(1).entries, BOUNDS, None)
-    successors = sum(1 for _ in kernel.successors(kernel.state(form.entries)))
-    assert len(calls) >= successors + 2  # det(a), the root, each successor
-
-    # Searches that sort a stored level and expand it: each successor is
-    # also compared with apply_move on its decoded parent.
-    monkeypatch.undo()
-    for pinned in load_search_golden()["depth3"]:
-        if pinned["case"] in ("rank2_found_at_4", "rank2_exhausted"):
-            form = HermitianForm.from_json(pinned["form"])
-            bounds = SearchBounds.from_json(pinned["bounds"])
-            out = bounded_isometry_search(form, h2_sum(1), bounds, verify_invariants=True)
-            assert out.to_json() == pinned["outcome"]
+def test_kernel_levels_keep_search_invariants():
+    # Levels walked as the search walks them (expand, skip seen states,
+    # store): every unseen successor decodes to its move applied to the
+    # decoded parent, carries the mask recomputed from scratch, and keeps
+    # the determinant class of the root. One expansion of a depth-2 search
+    # whose hit lies on its final level; two of depth-3 and depth-4
+    # searches that sort and expand a stored level.
+    golden = load_search_golden()
+    cases = [(golden["final_level"][0], BOUNDS, 1)]
+    cases += [(pinned, SearchBounds.from_json(pinned["bounds"]), 2) for pinned in golden["depth3"]
+              if pinned["case"] in ("rank2_found_at_4", "rank2_exhausted")]
+    assert len(cases) == 4
+    for pinned, bounds, expansions in cases:
+        form = HermitianForm.from_json(pinned["form"])
+        det_class = determinant(form).normalize_associate()[0]
+        kernel = _Kernel(form.entries, h2_sum(1).entries, bounds, None)
+        root = kernel.state(form.entries)
+        seen, level = {root}, [root]
+        for _ in range(expansions):
+            stored = []
+            for state in level:
+                parent = kernel.matrix(state)
+                for code, successor, mask in kernel.successors(state):
+                    if successor in seen:
+                        continue
+                    seen.add(successor)
+                    stored.append(successor)
+                    entries = kernel.matrix(successor)
+                    assert entries == apply_move(parent, kernel.move(code))
+                    assert mask == kernel._mask(successor)
+                    assert determinant(entries).normalize_associate()[0] == det_class
+            level = stored
+        assert len(seen) > 1
 
 
 @pytest.mark.parametrize("group", ["final_level", "final_level_many_hits", "exhausted_depth2"])

@@ -5,7 +5,8 @@ packed kernel with the LaurentPoly reference it replaces: `apply_move` for
 successors, `LaurentPoly` itself for packing, `_find_goal_move` for goal
 checks, and full row-major token keys for key order; the mismatch masks
 that successors() carries over from the parent are compared with `_mask`
-computed from scratch.
+computed from scratch; `_find_goal_move` itself is compared with trying
+every move in its order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from laurentforms import LaurentPoly, SearchBounds, Swap, Transvection, UnitScal
 from laurentforms.search import (
     _DiagonalShifts,
     _Kernel,
-    _apply_swap,
     _find_goal_move,
     _poly_box,
     _state_key,
@@ -131,12 +131,47 @@ def test_filtered_goal_check_matches_find_goal_move(target, bounds, data):
     states = [data.draw(_hermitian(n))]
     states += [apply_move(target, _inverse(data.draw(st.sampled_from(moves))))
                for _ in range(4)]
-    states += [_apply_swap(target, i, j) for i in range(n) for j in range(i + 1, n)]
+    states += [apply_move(target, Swap(i, j)) for i in range(n) for j in range(i + 1, n)]
     for state in states:
         kernel = _Kernel(state, target, bounds, _shifts(bounds))
         expected = _find_goal_move(state, target, bounds, _shifts(bounds))
         packed = kernel.state(state)
         assert kernel.goal_move(packed, kernel._mask(packed)) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_find_goal_move_is_the_first_move_that_reaches_the_target(target, bounds, data):
+    # The mismatch filter skips only moves that cannot reach the target: on
+    # a random state, preimages m^-1(T) and a swap of T, the goal move is
+    # the first move, in the order the goal check tries them (transvections
+    # by (i, j), then box polynomial; unit scales; swaps), whose successor
+    # equals the target. A state equal to the target is not goal-checked.
+    n = len(target)
+    box = _poly_box(bounds.transvection_degree, bounds.transvection_coeff)
+    moves = [Transvection(i, j, p) for i in range(n) for j in range(n) if i != j for p in box]
+    moves += _unit_scales(n, bounds.unit_exponent)
+    moves += [Swap(i, j) for i in range(n) for j in range(i + 1, n)]
+    i, j = sorted(data.draw(st.permutations(range(n)))[:2])
+    states = [data.draw(_hermitian(n)), apply_move(target, Swap(i, j))]
+    states += [apply_move(target, _inverse(data.draw(st.sampled_from(moves)))) for _ in range(2)]
+    for state in states:
+        if state != target:
+            first = next((m for m in moves if apply_move(state, m) == target), None)
+            assert _find_goal_move(state, target, bounds, _shifts(bounds)) == first
+
+
+def test_goal_check_needs_one_index_to_cover_every_mismatch():
+    # Row 1 vanishes outside column 0, so the transvection on (0, 1) by p
+    # moves only the (0, 0) entry, by p*a + involve(p*a). It reaches the
+    # target from `near`, but not from `far`, which also differs at (2, 2).
+    a, bounds = LaurentPoly({0: 1, 1: -1}), SearchBounds(1, 2, 2, 2)
+    target = ((ZERO, a, ZERO), (a.involve(), ZERO, ZERO), (ZERO, ZERO, LaurentPoly({0: 1})))
+    near = ((a + a.involve(),) + target[0][1:],) + target[1:]
+    far = near[:2] + ((ZERO, ZERO, LaurentPoly({0: 2})),)
+    assert _find_goal_move(near, target, bounds, _shifts(bounds)) == \
+        Transvection(0, 1, LaurentPoly({0: -1}))
+    assert _find_goal_move(far, target, bounds, _shifts(bounds)) is None
 
 
 @settings(max_examples=20, deadline=None)
@@ -149,7 +184,7 @@ def test_bits_cover_a_target_far_larger_than_the_root(bits, data):
     big = st.dictionaries(st.integers(-3, 3), coeff, min_size=1, max_size=4).map(LaurentPoly)
     state = data.draw(_hermitian(4, big))
     i, j = data.draw(st.sampled_from([(0, 1), (0, 3), (1, 2), (2, 3)]))
-    target = _apply_swap(state, i, j)
+    target = apply_move(state, Swap(i, j))
     bounds = SearchBounds(2, 0, 1, 0)
     root = ((ZERO, LaurentPoly({0: 1})), (LaurentPoly({0: 1}), ZERO))
     root = tuple(row + (ZERO, ZERO) for row in root) + tuple(
