@@ -32,14 +32,7 @@ from .search import (
     move_from_json,
     apply_move,
 )
-from .wallcalc import (
-    GENERIC_DOUBLE_POINT,
-    SurfaceModel,
-    hermitize,
-    lambda_self,
-    mu,
-    pairing_shape_check,
-)
+from .wallcalc import SurfaceModel, wall_invariants
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -115,21 +108,14 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_wall(args) -> int:
     surface = _load(args.surface, SurfaceModel.from_json)
-    mu_class = mu(surface)
-    lam = lambda_self(surface)
+    wall = wall_invariants(surface)
     payload = {
         "label": surface.label,
-        "mu": mu_class.to_json(),
-        "mu_plus_conjugate": hermitize(mu_class).to_json(),
-        "lambda": lam.to_json(),
+        "mu": wall.mu.to_json(),
+        "mu_plus_conjugate": wall.mu_plus_conjugate.to_json(),
+        "lambda": wall.lam.to_json(),
+        "c": None if wall.c is None else wall.c.to_json(),
     }
-    shape_applicable = surface.euler == 0 and not any(
-        e.kind == GENERIC_DOUBLE_POINT for e in surface.events
-    )
-    if shape_applicable:
-        payload["c"] = pairing_shape_check(surface).to_json()
-    else:
-        payload["c"] = None
     _emit(payload, args.output)
     return EXIT_OK
 

@@ -375,23 +375,24 @@ def solve_hermitian_zero_aug(d: LaurentPoly) -> Optional[LaurentPoly]:
     Writes d = m_0 * 2 + sum_{r>=1} m_r (t^r + t^-r) and telescopes the
     partial sums M_r = m_0 + ... + m_r into c = sum_r M_r t^r. A solution
     exists exactly when the augmentation of d vanishes; returns None
-    otherwise.
+    otherwise. M_r changes only at the support of d, so the walk is over
+    that support and the terms of c, not over every exponent up to deg d.
     """
     if d != d.involve():
         raise ValueError("input is not involution-fixed")
     if d.augment() != 0:
         return None
-    if d.is_zero:
-        return ZERO
-    top = d.max_exponent()
     running = d.coeff(0) // 2
     coeffs = {}
-    if running:
-        coeffs[0] = running
-    for r in range(1, top + 1):
-        running += d.coeff(r)
-        if running:
-            coeffs[r] = running
+    start = 0
+    for r, m in d.terms():
+        if r <= 0:
+            continue
+        if running:  # M is constant on [start, r)
+            for e in range(start, r):
+                coeffs[e] = running
+        running += m
+        start = r
     c = LaurentPoly(coeffs)
     if c * ONE_MINUS_T + c.involve() * ONE_MINUS_T_INV != d:
         raise InternalCheckError("telescoped solution failed to reconstruct input")

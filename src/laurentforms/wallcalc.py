@@ -143,16 +143,17 @@ class IntersectionEvent:
     def from_json(cls, obj) -> "IntersectionEvent":
         if not isinstance(obj, dict):
             raise ValueError("event must be an object")
-        for key in ("kind", "sign", "k"):
-            if key not in obj:
-                raise ValueError(f"event is missing {key!r}")
+        try:  # one lookup per key; the first missing key is reported
+            kind, sign, k = obj["kind"], obj["sign"], obj["k"]
+        except KeyError as exc:
+            raise ValueError(f"event is missing {exc.args[0]!r}") from None
         try:
-            sign, k = int_from_json(obj["sign"], "sign"), int_from_json(obj["k"], "k")
+            sign, k = int_from_json(sign, "sign"), int_from_json(k, "k")
         except ValueError:
             raise ValueError(
                 f"event sign and k must be integers, got {obj['sign']!r} and {obj['k']!r}"
             ) from None
-        return cls(str(obj["kind"]), sign, k)
+        return cls(str(kind), sign, k)
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,12 @@ class SurfaceModel:
         for key in ("label", "euler", "events"):
             if key not in obj:
                 raise ValueError(f"surface is missing {key!r}")
+        if not isinstance(obj["label"], str):
+            raise ValueError(f"surface label must be a string, got {obj['label']!r}")
         if not isinstance(obj["events"], list):
             raise ValueError("surface events must be a list")
-        events = tuple(IntersectionEvent.from_json(e) for e in obj["events"])
-        return cls(str(obj["label"]), events, int_from_json(obj["euler"], "euler"))
+        events = tuple(map(IntersectionEvent.from_json, obj["events"]))
+        return cls(obj["label"], events, int_from_json(obj["euler"], "euler"))
 
 
 def mu(surface: SurfaceModel) -> WallClass:
@@ -194,23 +197,55 @@ def mu(surface: SurfaceModel) -> WallClass:
     return WallClass(out)
 
 
+@dataclass(frozen=True)
+class WallInvariants:
+    """What the Wall calculus gives a surface, all from one mu."""
+
+    mu: WallClass
+    mu_plus_conjugate: LaurentPoly
+    lam: LaurentPoly
+    c: Optional[LaurentPoly]  # None where the pairing shape does not apply
+
+
+def wall_invariants(surface: SurfaceModel) -> WallInvariants:
+    """mu, its lift mu + mu~, lambda = mu + mu~ + iota(e) and, where the
+    pairing shape applies, the c with lambda = c(1-t) + c~(1-t^-1).
+
+    Under the shape's precondition lambda always has that shape, so a None
+    from the solver indicates a defect and is raised.
+    """
+    mu_class = mu(surface)
+    mu_plus_conjugate = hermitize(mu_class)
+    lam = mu_plus_conjugate + iota(surface.euler)
+    c = None
+    if _shape_refusal(surface) is None:
+        c = solve_hermitian_zero_aug(lam)
+        if c is None:
+            raise RuntimeError("shape solver failed under its guaranteed precondition")
+    return WallInvariants(mu_class, mu_plus_conjugate, lam, c)
+
+
+def _shape_refusal(surface: SurfaceModel) -> Optional[str]:
+    """Why the pairing shape does not apply to surface; None if it does."""
+    if surface.euler != 0:
+        return "pairing shape requires Euler number 0"
+    if any(e.kind == GENERIC_DOUBLE_POINT for e in surface.events):
+        return "pairing shape requires no generic double points"
+    return None
+
+
 def lambda_self(surface: SurfaceModel) -> LaurentPoly:
     """The homological self-pairing mu + mu~ + iota(e); involution-fixed."""
-    return hermitize(mu(surface)) + iota(surface.euler)
+    return wall_invariants(surface).lam
 
 
 def pairing_shape_check(surface: SurfaceModel) -> Optional[LaurentPoly]:
     """Return c with lambda = c(1-t) + c~(1-t^-1).
 
-    Requires euler = 0 and no generic double points; under that
-    precondition lambda always has this shape, so a None from the solver
-    indicates a defect and is raised.
+    Requires euler = 0 and no generic double points, and raises ValueError
+    otherwise.
     """
-    if surface.euler != 0:
-        raise ValueError("pairing shape requires Euler number 0")
-    if any(e.kind == GENERIC_DOUBLE_POINT for e in surface.events):
-        raise ValueError("pairing shape requires no generic double points")
-    c = solve_hermitian_zero_aug(lambda_self(surface))
-    if c is None:
-        raise RuntimeError("shape solver failed under its guaranteed precondition")
-    return c
+    refusal = _shape_refusal(surface)
+    if refusal is not None:
+        raise ValueError(refusal)
+    return wall_invariants(surface).c

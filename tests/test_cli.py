@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import laurentforms.cli
 import laurentforms.forms
+import laurentforms.wallcalc
 from laurentforms import h2_sum
 from laurentforms.cli import main
 
@@ -143,6 +145,53 @@ def test_wall_refuses_non_integer_numbers(tmp_path, capsys, euler, sign, k):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be an integer" in captured.err or "must be integers" in captured.err
+
+
+@pytest.mark.parametrize("label", [None, ["a"], 5], ids=["null", "list", "number"])
+def test_wall_refuses_a_non_string_label(tmp_path, capsys, label):
+    path = write_json(tmp_path / "bad.json", {"label": label, "euler": "0", "events": []})
+    assert main(["wall", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"surface label must be a string, got {label!r}" in captured.err
+
+
+@pytest.mark.parametrize("sign, k", [("+1", "1"), (1, 1)], ids=["str", "int"])
+@pytest.mark.parametrize("field, bad", [("sign", True), ("k", 1.0), ("k", True)],
+                         ids=["bool_sign", "float_k", "bool_k"])
+def test_wall_refuses_a_repeat_that_equals_a_parsed_event(tmp_path, capsys, sign, k, field, bad):
+    # true and 1.0 compare equal to 1; a repeat of a parsed event spelled
+    # with them is refused as it would be on its own.
+    event = {"kind": "torus_piercing", "sign": sign, "k": k}
+    surface = {"label": "x", "euler": "0", "events": [event, {**event, field: bad}]}
+    path = write_json(tmp_path / "bad.json", surface)
+    assert main(["wall", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "event sign and k must be integers" in captured.err
+
+
+@pytest.mark.parametrize("kinds, shaped", [
+    (["torus_piercing", "disc_self_intersection"], True),
+    (["torus_piercing", "generic_double_point"], False),
+], ids=["shaped", "double_points"])
+def test_wall_computes_mu_once(tmp_path, capsys, monkeypatch, kinds, shaped):
+    calls = []
+    original = laurentforms.wallcalc.mu
+
+    def counting_mu(surface):
+        calls.append(surface)
+        return original(surface)
+
+    # Every binding of mu in the package, so that a direct call from cli counts too.
+    for module in (laurentforms.wallcalc, laurentforms.cli):
+        if getattr(module, "mu", None) is original:
+            monkeypatch.setattr(module, "mu", counting_mu)
+    events = [{"kind": kind, "sign": "-1", "k": str(k)} for kind in kinds for k in (-2, 0, 3)]
+    path = write_json(tmp_path / "s.json", {"label": "s", "euler": "0", "events": events})
+    assert main(["wall", path]) == 0
+    assert (json.loads(capsys.readouterr().out)["c"] is not None) == shaped
+    assert len(calls) == 1
 
 
 def test_homology_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurentforms import (
     HermitianForm,
@@ -169,6 +170,40 @@ def test_solve_hermitian_zero_aug_round_trip(rng):
         solved = solve_hermitian_zero_aug(d)
         assert solved is not None
         assert hermitian_diagonal_entry(solved) == d
+
+
+def _dense_telescope(d: LaurentPoly):
+    # The solver's partial sums M_r taken at every exponent from 0 to deg d.
+    if d.augment() != 0:
+        return None
+    if d.is_zero:
+        return ZERO
+    running = d.coeff(0) // 2
+    coeffs = {0: running}
+    for r in range(1, d.max_exponent() + 1):
+        running += d.coeff(r)
+        coeffs[r] = running
+    return L(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-4, 4), st.dictionaries(st.integers(1, 9), st.integers(-3, 3), max_size=5),
+       st.booleans())
+def test_solve_hermitian_zero_aug_matches_the_dense_telescoping(d0, half, zero_aug):
+    if zero_aug:  # move the augmentation onto the constant term
+        d0 = -2 * sum(half.values())
+    d = L({0: d0, **half, **{-r: m for r, m in half.items()}})
+    assert solve_hermitian_zero_aug(d) == _dense_telescope(d)
+
+
+def test_solve_hermitian_zero_aug_is_bounded_by_the_support():
+    # Exponents far apart: the solution is the single term t^k, found
+    # without a step per exponent below k.
+    k = 10**9
+    d = L({k: 1, -k: 1, k + 1: -1, -k - 1: -1})
+    assert solve_hermitian_zero_aug(d) == L({k: 1})
+    d = d * 5 + hermitian_diagonal_entry(L({-2 * k: 2}))
+    assert hermitian_diagonal_entry(solve_hermitian_zero_aug(d)) == d
 
 
 def test_recognize_examples():

@@ -21,6 +21,7 @@ from laurentforms.wallcalc import (
     DISC_SELF_INTERSECTION,
     GENERIC_DOUBLE_POINT,
     TORUS_PIERCING,
+    wall_invariants,
 )
 
 from conftest import hermitian_diagonal_entry, rand_poly
@@ -114,6 +115,23 @@ def test_mu_equals_the_projected_contribution_sum(events, euler):
     for event in events:
         reference = reference + project(event.contribution())
     assert mu(surface) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(_events, st.integers(-2, 2))
+def test_wall_invariants_follow_from_one_mu(events, euler):
+    surface = SurfaceModel("random", tuple(events), euler)
+    wall = wall_invariants(surface)
+    assert wall.mu == mu(surface)
+    assert wall.mu_plus_conjugate == hermitize(wall.mu)
+    assert wall.lam == hermitize(wall.mu) + iota(euler)
+    shaped = euler == 0 and all(e.kind != GENERIC_DOUBLE_POINT for e in events)
+    if shaped:
+        assert hermitian_diagonal_entry(wall.c) == wall.lam
+        assert pairing_shape_check(surface) == wall.c
+    else:
+        assert wall.c is None
+    assert lambda_self(surface) == wall.lam
 
 
 def test_lambda_self_examples():
@@ -215,6 +233,60 @@ def test_relabel_invariance(rng):
         assert relabel_invariance(s, perm)
     with pytest.raises(ValueError):
         relabel_invariance(s, [0, 0])
+
+
+def _encoded(v: int):
+    """v as a JSON str or int, and now and then as a float or bool that the
+    parser refuses."""
+    options = [str(v), f"{v:+d}", v, v, float(v)]
+    if v in (0, 1):
+        options.append(bool(v))
+    return st.sampled_from(options)
+
+
+_triples = st.tuples(
+    st.sampled_from([GENERIC_DOUBLE_POINT, TORUS_PIERCING, DISC_SELF_INTERSECTION, "nope"]),
+    st.sampled_from([1, -1]),
+    st.integers(-1, 1),
+)
+
+
+def _raw_events(pool):
+    """Events drawn from a few (kind, sign, k), each encoded afresh, so that
+    one triple repeats under several encodings."""
+    event = st.sampled_from(pool).flatmap(lambda e: st.fixed_dictionaries(
+        {"kind": st.just(e[0]), "sign": _encoded(e[1]), "k": _encoded(e[2])}))
+    return st.lists(event, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_triples, min_size=1, max_size=3).flatmap(_raw_events))
+def test_surface_parse_matches_the_per_event_parse(raw_events):
+    # Repeats of one (kind, sign, k) under equal but differently typed
+    # spellings: the result and the first refusal are those of parsing
+    # every event on its own.
+    payload = {"label": "s", "euler": "0", "events": raw_events}
+    try:
+        expected = tuple(IntersectionEvent.from_json(e) for e in raw_events)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            SurfaceModel.from_json(payload)
+        assert str(refused.value) == str(exc)
+        return
+    assert SurfaceModel.from_json(payload).events == expected
+
+
+@pytest.mark.parametrize("event, message", [
+    (["kind"], "event must be an object"),
+    ({"sign": "+1", "k": "0"}, "event is missing 'kind'"),
+    ({"kind": TORUS_PIERCING}, "event is missing 'sign'"),
+    ({"kind": TORUS_PIERCING, "k": "0"}, "event is missing 'sign'"),
+    ({"kind": TORUS_PIERCING, "sign": "+1"}, "event is missing 'k'"),
+])
+def test_event_parse_names_the_first_missing_key(event, message):
+    with pytest.raises(ValueError) as refused:
+        IntersectionEvent.from_json(event)
+    assert str(refused.value) == message
 
 
 def test_surface_json_round_trip():
