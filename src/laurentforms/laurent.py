@@ -280,14 +280,19 @@ class LaurentPoly:
 
 
 def int_from_json(value, name: str) -> int:
-    """An integer given as a decimal string or a JSON integer.
+    """An integer given as a decimal string (an optional ASCII sign, then
+    ASCII digits) or a JSON integer.
 
     A bool, a float, null or any other type raises ValueError: a bare
-    int() would truncate 1.5 to 1 and read true as 1.
+    int() would truncate 1.5 to 1 and read true as 1. So does any other
+    string that int() reads, such as "1_000", " 7 " or non-ASCII digits.
     """
     if type(value) is int:  # not bool, whose type is a subclass of int
         return value
-    if type(value) is str:
+    # Of strings made of signs and ASCII digits only, int() reads exactly
+    # an optional sign followed by digits: it refuses "", "+", "--1", "1-"
+    # and more digits than it converts.
+    if type(value) is str and not value.strip("+-0123456789"):
         try:
             return int(value)
         except ValueError:

@@ -11,11 +11,14 @@ outcomes are reproducible.
 Inside the search a state is a tuple of ints, one per upper-triangle
 entry, each entry packed by Kronecker substitution (`_Packing`): a ring
 operation of a move is one int operation, and deduplication hashes the
-tuples. Each successor is goal-checked as it is generated, behind a
-filter on where it differs from the target, a bit mask updated from the
-parent's at the entries the move writes. Keys are built only for hits
-and for a level that is about to be expanded; a stored level holds
-(packed state, move codes) pairs, and the last level is never stored.
+tuples. Each level is generated in two passes. The goal pass filters
+every successor on where it differs from the target, a bit mask updated
+from the parent's at the entries the move writes, and builds and
+goal-checks only the few the filter lets through, each state once. The
+store pass runs only if the goal pass found no hit and another level
+follows: it generates the level again and stores it as (packed state,
+move codes) pairs, sorted by key. Keys are built only for hits and for
+a stored level, and the last level is never stored.
 
 "Found" outcomes are replay-checked before being returned. "Exhausted"
 only means no sequence exists within the given bounds.
@@ -199,12 +202,16 @@ class SearchOutcome:
 def _det_obstruction(det_a: LaurentPoly, target: HermitianForm) -> Optional[str]:
     """A reason a form of determinant det_a cannot be congruent to target.
 
-    Congruence by a unit-determinant base change multiplies the
-    determinant by u * involve(u) = 1, so association of determinants is
-    necessary. Returns None when compatible.
+    det(P A P*) = det(P) det(A) involve(det(P)), and a base change over
+    Z[t, t^-1] has a unit determinant u = +-t^k, with u * involve(u) = 1:
+    congruence keeps the determinant exactly, so equal determinants are
+    necessary. Returns None when they are equal.
     """
-    if assoc_eq(det_a, determinant(target)):
+    det_target = determinant(target)
+    if det_a == det_target:
         return None
+    if assoc_eq(det_a, det_target):
+        return "determinant associate to the target determinant but not equal to it"
     return "determinant not associate to the target determinant"
 
 
@@ -545,9 +552,13 @@ class _Kernel:
             return self._units[code]
         return Swap(*self._swap_pairs[code - len(self._units)])
 
-    def successors(self, state: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    def successors(
+        self, state: tuple[int, ...], goal_only: bool = False
+    ) -> Iterator[tuple[int, tuple[int, ...], int]]:
         """(code, successor, mask) for every move, in canonical move order:
         transvections by j, then box polynomial, then i; unit scales; swaps.
+        With goal_only, only the successors whose `_kind(mask)` is nonzero,
+        the ones goal_move() may decode or look up, are built and yielded.
 
         A transvection by p on (i, j) adds p * a[j][c] along row i and
         involve(p) * a[c][j] down column i, and both to the diagonal with
@@ -560,7 +571,7 @@ class _Kernel:
         i and j for a swap).
         """
         n, b, at = self.n, self.packing.bits, self._at
-        bits, goal = self._bits, self._target_state
+        bits, goal, kind = self._bits, self._target_state, self._cached_kind
         parent = self._mask(state)
         full = [[0] * n for _ in range(n)]
         for (r, c), v in zip(self._positions, state):
@@ -600,7 +611,8 @@ class _Kernel:
                     for k in written:
                         if new[k] != goal[k]:
                             mask |= bits[k]
-                    yield code, tuple(new), mask
+                    if not goal_only or kind(mask):
+                        yield code, tuple(new), mask
                     code += 1
         for move in self._units:
             i, sign, up = move.i, move.sign, b * move.k
@@ -612,13 +624,17 @@ class _Kernel:
                     k = at[i][c]
                     new[k] = sign * (state[k] << s if s >= 0 else state[k] >> -s)
                     written.append(k)
-            yield code, tuple(new), self._remask(parent, new, written)
+            mask = self._remask(parent, new, written)
+            if not goal_only or kind(mask):
+                yield code, tuple(new), mask
             code += 1
         for i, j in self._swap_pairs:
             perm = list(range(n))
             perm[i], perm[j] = j, i
             new = [full[perm[r]][perm[c]] for r, c in self._positions]
-            yield code, tuple(new), self._remask(parent, new, at[i] + at[j])
+            mask = self._remask(parent, new, at[i] + at[j])
+            if not goal_only or kind(mask):
+                yield code, tuple(new), mask
             code += 1
 
     def _remask(self, mask: int, state, written) -> int:
@@ -634,11 +650,11 @@ class _Kernel:
         """_find_goal_move of the state, whose `_mask` is mask (as
         successors() yields it). The state is decoded only if the entries
         where it differs from the target lie in the row and column of one
-        index; otherwise only a swap can reach the target, and only from a
-        swap of the target, which one lookup finds."""
-        kind = self._kinds.get(mask)
-        if kind is None:
-            kind = self._kinds[mask] = self._kind(mask)
+        index (`_kind` 1); otherwise only a swap can reach the target, and
+        only from a swap of the target, which one lookup finds (`_kind` 2).
+        A state of `_kind` 0 has no goal move, so the goal pass of the
+        search never builds it."""
+        kind = self._cached_kind(mask)
         if kind == 1:
             return _find_goal_move(self.matrix(state), self._target, self.bounds, self._shifts)
         if kind == 2:
@@ -647,6 +663,12 @@ class _Kernel:
 
     def _mask(self, state: tuple[int, ...]) -> int:
         return sum([bit for bit, v, t in zip(self._bits, state, self._target_state) if v != t])
+
+    def _cached_kind(self, mask: int) -> int:
+        kind = self._kinds.get(mask)
+        if kind is None:
+            kind = self._kinds[mask] = self._kind(mask)
+        return kind
 
     def _kind(self, mask: int) -> int:
         """1 if one index covers the positions in mask, else 2 if a swap of
@@ -673,13 +695,32 @@ def bounded_isometry_search(
     and the particular move list deterministic.
 
     The input form is goal-checked as it is. Each later level is
-    generated from the sorted level before it, and each successor not
-    seen before is goal-checked as it appears. Among a level's hits the
-    one with the smallest key wins, the first generated on ties: the
-    state a scan of the sorted level would reach first. A level without
-    a hit is stored as (packed state, move codes) pairs, and only if a
-    level follows it; it is then sorted by keys built at that point, so
-    a search that hits on a level never builds that level's keys.
+    generated from the sorted level before it, in two passes over the
+    same successors. The goal pass builds only the successors whose
+    mismatch mask lets goal_move() decode or look them up (`_Kernel._kind`
+    nonzero), skips those in `seen` or already checked on this level,
+    and goal-checks the rest. Among a level's hits the one with the
+    smallest key wins, the first generated on ties: the state a scan of
+    the sorted level would reach first. Only if there is no hit and a
+    level follows does the store pass generate the level again, add each
+    unseen successor to `seen`, store it as (packed state, move codes)
+    with its first generator, and sort the level by keys built then; a
+    search that hits on a level never builds or stores that level.
+
+    The two passes return what one pass that stores and goal-checks
+    every unseen successor as it appears would return:
+
+    - A successor the goal pass does not build is of `_kind` 0 and has
+      no goal move.
+    - A state in `seen` has no goal move: the root was goal-checked by
+      `_find_goal_move`, and every stored state in the goal pass of its
+      level (or not built there, being of `_kind` 0).
+    - goal_move() is a function of the state, so a duplicate within a
+      level gives the same hit and key; the strict `<` keeps the first
+      generated.
+    - The store pass visits the successors in the same order and keeps
+      the first generator of each state.
+
     Entries are packed with B-bit signed digits at offset OFF, taken
     from a bound over the root, the target and max_depth - 1 moves
     (`_Kernel`); the last move is found on decoded states. Every packed
@@ -706,18 +747,16 @@ def bounded_isometry_search(
     seen = {root}
     level = [(root, ())]
     for length in range(2, bounds.max_depth + 1):
-        # Goal checks on the successors of `level` complete move lists of
-        # the given length; the successors are stored only if expanded next.
-        final = length == bounds.max_depth
+        # Goal pass: the successors of `level` complete move lists of the
+        # given length; only those goal_move() may decode or look up are
+        # built, and each state at most once.
         best_key = best = None
-        stored = []
+        checked = set()
         for state, codes in level:
-            for code, successor, mask in kernel.successors(state):
-                if successor in seen:
+            for code, successor, mask in kernel.successors(state, goal_only=True):
+                if successor in seen or successor in checked:
                     continue
-                if not final:
-                    seen.add(successor)
-                    stored.append((successor, codes + (code,)))
+                checked.add(successor)
                 hit = kernel.goal_move(successor, mask)
                 if hit is None:
                     continue
@@ -727,8 +766,16 @@ def bounded_isometry_search(
         if best is not None:
             codes, hit = best
             return _verified_found(a, target, tuple(map(kernel.move, codes)) + (hit,))
-        if final:
+        if length == bounds.max_depth:
             break
+        # Store pass: the level is expanded next, so generate it again,
+        # keep the first generator of each unseen state and sort by key.
+        stored = []
+        for state, codes in level:
+            for code, successor, _ in kernel.successors(state):
+                if successor not in seen:
+                    seen.add(successor)
+                    stored.append((successor, codes + (code,)))
         stored.sort(key=lambda item: _state_key(item[0], kernel.packing))
         level = stored
     return SearchOutcome(EXHAUSTED)

@@ -147,6 +147,28 @@ def test_wall_refuses_non_integer_numbers(tmp_path, capsys, euler, sign, k):
     assert "must be an integer" in captured.err or "must be integers" in captured.err
 
 
+@pytest.mark.parametrize("bad", ["1_000", " 7 ", "\u0661\u0662"],
+                         ids=["underscore", "spaces", "arabic_indic"])
+def test_integer_strings_must_be_ascii_decimal(tmp_path, capsys, bad):
+    # A bare int() reads these as 1000, 7 and 12; every command refuses
+    # them with exit 2 and a message, in a form, a surface and a complex.
+    form = rank2_fixture_json()
+    form["entries"][3] = {"0": bad, "1": "-1", "-1": "-1"}
+    surface = {"label": "x", "euler": "0", "events": [
+        {"kind": "torus_piercing", "sign": "+1", "k": bad}]}
+    complex_ = {"ranks": ["1", bad], "differentials": [[[{}] * 7]]}
+    for command, payload, message in (
+        ("check", form, f"bad polynomial term '0': {bad!r}"),
+        ("wall", surface, "event sign and k must be integers"),
+        ("homology", complex_, f"module rank must be an integer, got {bad!r}"),
+    ):
+        path = write_json(tmp_path / f"{command}.json", payload)
+        assert main([command, path]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 @pytest.mark.parametrize("label", [None, ["a"], 5], ids=["null", "list", "number"])
 def test_wall_refuses_a_non_string_label(tmp_path, capsys, label):
     path = write_json(tmp_path / "bad.json", {"label": label, "euler": "0", "events": []})
@@ -279,6 +301,18 @@ def test_search_obstructed_exits_one(tmp_path, capsys):
     assert main(["search", a_path, t_path]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "obstruction_mismatch"
+
+
+def test_search_obstructed_by_an_associate_determinant_exits_one(tmp_path, capsys):
+    # diag((1-t)(1-t^-1), 1) has determinant 2 - t - t^-1, H2 its negative.
+    form = {"rank": "2", "entries": [{"-1": "-1", "0": "2", "1": "-1"}, {}, {}, {"0": "1"}]}
+    a_path = write_json(tmp_path / "diag.json", form)
+    t_path = write_json(tmp_path / "h2.json", h2_sum(1).to_json())
+    assert main(["search", a_path, t_path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "obstruction_mismatch",
+        "reason": "determinant associate to the target determinant but not equal to it",
+    }
 
 
 def test_probe_command(tmp_path, capsys):

@@ -14,6 +14,7 @@ from laurentforms import (
     assoc_eq,
     iota,
 )
+from laurentforms.laurent import int_from_json
 
 from conftest import rand_poly
 
@@ -218,6 +219,29 @@ def test_from_json_accepts_only_integers():
                 {"0": "1.5"}, {"0": [1]}, {"x": "1"}):
         with pytest.raises(ValueError, match="bad polynomial term"):
             LaurentPoly.from_json(bad)
+
+
+# A bare int() reads the first five as 1000, 7, 7, 12 (Arabic-Indic
+# digits) and 1 (a fullwidth digit); the rest are no integers at all.
+NOT_DECIMAL = ["1_000", " 7 ", "7\n", "\u0661\u0662", "\uff11", "+ 5", "", "-", "0x1",
+               "+-1", "--1", "1-", "1+2", pytest.param("1" * 5000, id="5000_digits")]
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMAL)
+def test_int_from_json_accepts_only_ascii_decimal_strings(bad):
+    with pytest.raises(ValueError, match="coefficient must be an integer"):
+        int_from_json(bad, "coefficient")
+    with pytest.raises(ValueError, match="bad polynomial term"):
+        LaurentPoly.from_json({"0": bad})
+    with pytest.raises(ValueError, match="bad polynomial term"):
+        LaurentPoly.from_json({bad: "1"})
+
+
+def test_int_from_json_keeps_signs_and_leading_zeros():
+    for text, value in (("+1", 1), ("-0", 0), ("+0", 0), ("-12", -12), ("007", 7),
+                        ("123456789012345678901234567890", 123456789012345678901234567890)):
+        assert int_from_json(text, "n") == value
+    assert LaurentPoly.from_json({"-1": "+3", "+2": "-0"}) == LaurentPoly({-1: 3})
 
 
 def test_token_zero_sorts_first(rng):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from laurentforms import (
     h2_sum,
     stabilize,
 )
+from laurentforms import search
 from laurentforms.search import (
     EXHAUSTED,
     FOUND,
@@ -57,6 +60,25 @@ def test_det_obstruction_examples():
     assert bounded_isometry_search(h2_sum(2), h2_sum(2), no_moves).status == FOUND
     with pytest.raises(ValueError):
         bounded_isometry_search(h2_sum(1), h2_sum(2), no_moves)
+
+
+def test_det_obstruction_needs_equal_determinants():
+    # Congruence keeps the determinant exactly: det(P) * involve(det(P)) = 1
+    # for the unit det(P) = +-t^k. diag(x, 1) with x = (1-t)(1-t^-1) has
+    # determinant x; H2 has -x, an associate that is not equal.
+    x = ONE_MINUS_T * ONE_MINUS_T_INV
+    form = HermitianForm([[x, ZERO], [ZERO, ONE]])
+    assert determinant(form) == -determinant(h2_sum(1))
+    out = bounded_isometry_search(form, h2_sum(1), BOUNDS)
+    assert out.status == OBSTRUCTION_MISMATCH
+    assert out.reason == "determinant associate to the target determinant but not equal to it"
+    bad = HermitianForm([[ZERO, ONE + T], [ONE + T_INV, ZERO]])
+    out = bounded_isometry_search(bad, h2_sum(1), BOUNDS)
+    assert out.reason == "determinant not associate to the target determinant"
+    # A unit rescaling moves the entries but keeps the determinant.
+    scaled = congruence([[L({1: -1}), ZERO], [ZERO, ONE]], h2_sum(1))
+    assert determinant(scaled) == determinant(h2_sum(1))
+    assert bounded_isometry_search(scaled, h2_sum(1), BOUNDS).status == FOUND
 
 
 def test_search_finds_single_transvection():
@@ -237,6 +259,34 @@ def test_search_golden_depth3():
         bounds = SearchBounds.from_json(pinned["bounds"])
         outcome = bounded_isometry_search(form, h2_sum(form.rank // 2), bounds)
         assert outcome.to_json() == pinned["outcome"], pinned["case"]
+
+
+def test_each_state_is_decoded_at_most_once(monkeypatch):
+    # The goal pass skips states seen on earlier levels and states already
+    # checked on its own level, so no matrix reaches _find_goal_move twice
+    # in one search (the root's own check included), also where a final
+    # level generates the same hit more than once (final_level_many_hits)
+    # and where a level is goal-checked, then stored and expanded (depth3).
+    golden = load_search_golden()
+    cases = [(pinned, SearchBounds(int(pinned["depth"]), 2, 2, 2))
+             for pinned in golden["final_level_many_hits"]]
+    cases += [(pinned, SearchBounds.from_json(pinned["bounds"])) for pinned in golden["depth3"]]
+    find, decoded = search._find_goal_move, Counter()
+
+    def counting(entries, *args):
+        decoded[entries] += 1
+        return find(entries, *args)
+
+    monkeypatch.setattr(search, "_find_goal_move", counting)
+    total = 0
+    for pinned, bounds in cases:
+        decoded.clear()
+        form = HermitianForm.from_json(pinned["form"])
+        outcome = bounded_isometry_search(form, h2_sum(form.rank // 2), bounds)
+        assert outcome.to_json() == pinned["outcome"]
+        assert max(decoded.values(), default=1) == 1, pinned.get("case")
+        total += sum(decoded.values())
+    assert total > 10 * len(cases)
 
 
 def _token_tuple(entries):

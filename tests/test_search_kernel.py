@@ -5,8 +5,9 @@ packed kernel with the LaurentPoly reference it replaces: `apply_move` for
 successors, `LaurentPoly` itself for packing, `_find_goal_move` for goal
 checks, and full row-major token keys for key order; the mismatch masks
 that successors() carries over from the parent are compared with `_mask`
-computed from scratch; `_find_goal_move` itself is compared with trying
-every move in its order.
+computed from scratch; the goal-only successors are compared with the
+full run filtered by `_kind`; `_find_goal_move` itself is compared with
+trying every move in its order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,29 @@ def test_yielded_masks_equal_recomputed_masks(entries, bounds, data):
         _, state, _ = data.draw(st.sampled_from(successors))
         for _, successor, mask in kernel.successors(state):
             assert mask == kernel._mask(successor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hermitian(), _bounds, st.data())
+def test_goal_only_successors_are_those_of_nonzero_kind(entries, bounds, data):
+    # The goal pass of the search builds only the successors goal_move()
+    # may decode or look up: with goal_only, successors() yields exactly
+    # the (code, successor, mask) triples of the full run whose mask is of
+    # a nonzero `_kind`, in the same order. Targets as above, so that all
+    # three kinds occur; from the root and from one of its successors.
+    n = len(entries)
+    moves = _canonical_moves(n, bounds)
+    target = data.draw(st.one_of(st.just(entries),
+                                 st.sampled_from(moves).map(lambda m: apply_move(entries, m)),
+                                 _hermitian(n)))
+    kernel = _Kernel(entries, target, bounds, None)
+    root = kernel.state(entries)
+    states = [root]
+    if bounds.max_depth == 3:
+        states.append(data.draw(st.sampled_from(list(kernel.successors(root))))[1])
+    for state in states:
+        expected = [triple for triple in kernel.successors(state) if kernel._kind(triple[2])]
+        assert list(kernel.successors(state, goal_only=True)) == expected
 
 
 @settings(max_examples=50, deadline=None)
