@@ -50,7 +50,10 @@ class ChainComplex:
     __slots__ = ("ranks", "differentials")
 
     def __init__(self, ranks, differentials):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
+        for r in ranks:
+            if not isinstance(r, int) or isinstance(r, bool):
+                raise ValueError(f"module rank must be an int, got {r!r}")
         if any(r < 0 for r in ranks):
             raise ValueError("module ranks must be nonnegative")
         if not ranks:

@@ -12,11 +12,13 @@ Inside the search a state is a tuple of ints, one per upper-triangle
 entry, each entry packed by Kronecker substitution (`_Packing`): a ring
 operation of a move is one int operation, and deduplication hashes the
 tuples. Each level is generated in two passes. The goal pass filters
-every successor on where it differs from the target, a bit mask updated
+successors on where they differ from the target, a bit mask updated
 from the parent's at the entries the move writes, and builds and
-goal-checks only the few the filter lets through, each state once. The
-store pass runs only if the goal pass found no hit and another level
-follows: it generates the level again and stores it as (packed state,
+goal-checks only the few the filter lets through, each state once; a
+transvection block first narrows its box polynomials to those that can
+pass the filter, often to none or to one found by an exact division
+(`_Kernel.successors`). The store pass runs only if the goal pass found
+no hit and another level follows: it generates the level again and stores it as (packed state,
 move codes) pairs, sorted by key. Keys are built only for hits and for
 a stored level, and the last level is never stored.
 
@@ -461,15 +463,17 @@ class _Packing:
 
 
 @lru_cache(maxsize=8)
-def _packed_box(degree: int, coeff: int, bits: int) -> tuple[tuple[int, int, int], ...]:
+def _packed_box(degree: int, coeff: int, bits: int) -> tuple[tuple, dict, dict]:
     """(p, involve(p), p * involve(p)) of each box polynomial, packed with
-    B = bits at its own offset: degree, degree and 2 * degree."""
+    B = bits at its own offset: degree, degree and 2 * degree; and the box
+    index of each packed p and of each packed involve(p)."""
     packing = _Packing(bits, degree)
     out = []
     for p in _poly_box(degree, coeff):
         packed, bar = packing.pack(p), packing.pack(p.involve())
         out.append((packed, bar, packed * bar))
-    return tuple(out)
+    return (tuple(out), {p: k for k, (p, _, _) in enumerate(out)},
+            {bar: k for k, (_, bar, _) in enumerate(out)})
 
 
 def _state_key(state: tuple[int, ...], packing: _Packing) -> str:
@@ -516,11 +520,15 @@ class _Kernel:
         self._positions = [(r, c) for r in range(n) for c in range(r, n)]
         at = {rc: k for k, rc in enumerate(self._positions)}
         self._at = [[at[min(r, c), max(r, c)] for c in range(n)] for r in range(n)]
-        self._box = _packed_box(d, bounds.transvection_coeff, packing.bits)
+        self._box, self._box_p, self._box_bar = _packed_box(
+            d, bounds.transvection_coeff, packing.bits)
         self._units = _unit_scales(n, bounds.unit_exponent)
         self._swap_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self._target_state = self.state(target)
         self._bits = [1 << k for k in range(len(self._positions))]
+        # The positions outside row and column x, by x.
+        self._outside = [sum(bit for bit, rc in zip(self._bits, self._positions) if x not in rc)
+                     for x in range(n)]
         self._swaps: dict[tuple[int, ...], Swap] = {}
         for i, j in self._swap_pairs:
             move = Swap(i, j)
@@ -558,7 +566,7 @@ class _Kernel:
         """(code, successor, mask) for every move, in canonical move order:
         transvections by j, then box polynomial, then i; unit scales; swaps.
         With goal_only, only the successors whose `_kind(mask)` is nonzero,
-        the ones goal_move() may decode or look up, are built and yielded.
+        the ones goal_move() may decode or look up, are yielded.
 
         A transvection by p on (i, j) adds p * a[j][c] along row i and
         involve(p) * a[c][j] down column i, and both to the diagonal with
@@ -569,6 +577,25 @@ class _Kernel:
         once, with its bits recomputed only at the positions the move
         writes (at most n for a transvection or a unit scale, the rows of
         i and j for a swap).
+
+        With goal_only, each transvection block (i, j) first narrows the
+        box polynomials p it builds (`_block_filter`). The move writes only
+        row and column i, and there only the entries (i, c) with
+        a[j][c] != 0 and the diagonal: those "variable" positions are the
+        only ones whose mask bits depend on p; the rest of the mask, the
+        "fixed" part, is the parent's.
+        - Kind 1 with covering index x needs the fixed part to lie in the
+          row and column of x. Then any p may do if x == i; otherwise
+          every (i, c) with c not in {i, x} must match the target.
+        - Kind 2 with swap mask S needs the fixed part to equal S outside
+          the variable positions, and every (i, c) outside S to match.
+        One variable (i, c) that must match admits at most one p, found by
+        one exact division. So the block builds no p, the few p so found,
+        or the whole box. The filter only narrows: every p it keeps gets
+        the exact mask and `_kind` test, so the yielded triples and their
+        order are those of the full run filtered by `_kind`. The code of a
+        kept p with box index k is j * |box| * (n - 1) + k * (n - 1) +
+        i - (i > j), as in move().
         """
         n, b, at = self.n, self.packing.bits, self._at
         bits, goal, kind = self._bits, self._target_state, self._cached_kind
@@ -578,8 +605,8 @@ class _Kernel:
             full[r][c] = v
             if r != c and v:
                 full[c][r] = self.packing.involve(v)
+        box, size = self._box, len(self._box)
         shift = b * self.bounds.transvection_degree
-        code = 0
         for j in range(n):
             cols = [c for c in range(n) if full[j][c]]
             row_j = [full[j][c] for c in cols]
@@ -588,7 +615,10 @@ class _Kernel:
             # For each p, vals holds p * a[j][c] for c in cols, then
             # involve(p) * a[c][j] for c in cols, then p * involve(p) * a[j][j];
             # the move on (i, j) adds vals[s] at position k for (k, s) in ops.
-            plans = []
+            # A plan is (code offset of i, ops, written positions, fixed mask);
+            # `whole` holds the plans that build every p, `picks` the others
+            # by the box index of the p they build.
+            whole, picks = [], {}
             for i in range(n):
                 if i == j:
                     continue
@@ -599,12 +629,32 @@ class _Kernel:
                 if a_jj:
                     ops.append((at[i][i], 2 * m))
                 written = sorted({k for k, _ in ops})
-                plans.append((ops, written, parent & ~sum(bits[k] for k in written)))
-            for p, bar, pp in self._box:
+                variable = sum(bits[k] for k in written)
+                fixed = parent & ~variable
+                plan = (i - (i > j), ops, written, fixed)
+                ks = None
+                if goal_only:
+                    ks = self._block_filter(state, full, i, j, cols, fixed, variable)
+                if ks is None:
+                    whole.append(plan)
+                else:
+                    for k in ks:
+                        picks.setdefault(k, []).append(plan)
+            # visits: (code of p at offset 0, packed p, plans), by box index.
+            base = j * size * (n - 1)
+            codes = itertools.count(base, n - 1)
+            if not picks:
+                visits = zip(codes, box, itertools.repeat(whole)) if whole else ()
+            elif not whole:
+                visits = [(base + k * (n - 1), box[k], plans) for k, plans in sorted(picks.items())]
+            else:
+                visits = ((code, packed, sorted(whole + picks[k]) if k in picks else whole)
+                          for k, code, packed in zip(range(size), codes, box))
+            for code, (p, bar, pp), plans in visits:
                 vals = [(p * x) >> shift for x in row_j] + [(bar * x) >> shift for x in col_j]
                 if a_jj:
                     vals.append((pp * a_jj) >> 2 * shift)
-                for ops, written, mask in plans:
+                for offset, ops, written, mask in plans:
                     new = list(state)
                     for k, s in ops:
                         new[k] += vals[s]
@@ -612,8 +662,8 @@ class _Kernel:
                         if new[k] != goal[k]:
                             mask |= bits[k]
                     if not goal_only or kind(mask):
-                        yield code, tuple(new), mask
-                    code += 1
+                        yield code + offset, tuple(new), mask
+        code = n * (n - 1) * size
         for move in self._units:
             i, sign, up = move.i, move.sign, b * move.k
             new, written = list(state), []
@@ -636,6 +686,43 @@ class _Kernel:
             if not goal_only or kind(mask):
                 yield code, tuple(new), mask
             code += 1
+
+    def _block_filter(self, state, full, i: int, j: int, cols: list[int], fixed: int,
+                      variable: int) -> Optional[list[int]]:
+        """The box indices, ascending, of the p that may give the
+        transvection on (i, j) a successor of nonzero `_kind`, or None if
+        any p may (see successors()). fixed and variable split the mask
+        as there. The p matching an entry (i, c) solves p * a[j][c] =
+        T[i][c] - A[i][c] as an exact division of packed ints: the product
+        of every box p with a[j][c] fits the kernel's digits, so its
+        packed product is exact and unique.
+        """
+        if not fixed & self._outside[i]:
+            return None
+        at, bits = self._at, self._bits
+        free = [c for c in cols if c != i]
+        pins = set()  # the columns c whose (i, c) must match, one per case
+        for x in range(self.n):
+            if x != i and not fixed & self._outside[x]:
+                c = next((c for c in free if c != x), None)
+                if c is None:
+                    return None
+                pins.add(c)
+        for mask in self._swap_masks:
+            if not (fixed ^ mask) & ~variable:
+                c = next((c for c in free if not mask & bits[at[i][c]]), None)
+                if c is None:
+                    return None
+                pins.add(c)
+        shift = self.packing.bits * self.bounds.transvection_degree
+        found = set()
+        for c in pins:
+            k = at[i][c]
+            x, index = (full[j][c], self._box_p) if c > i else (full[c][j], self._box_bar)
+            q, r = divmod((self._target_state[k] - state[k]) << shift, x)
+            if not r and q in index:
+                found.add(index[q])
+        return sorted(found)
 
     def _remask(self, mask: int, state, written) -> int:
         """mask with its bits at the positions written recomputed for state."""
@@ -698,10 +785,12 @@ def bounded_isometry_search(
     generated from the sorted level before it, in two passes over the
     same successors. The goal pass builds only the successors whose
     mismatch mask lets goal_move() decode or look them up (`_Kernel._kind`
-    nonzero), skips those in `seen` or already checked on this level,
-    and goal-checks the rest. Among a level's hits the one with the
-    smallest key wins, the first generated on ties: the state a scan of
-    the sorted level would reach first. Only if there is no hit and a
+    nonzero), after each transvection block has narrowed the box
+    polynomials to those that can give such a mask; it skips those in
+    `seen` or already checked on this level, and goal-checks the rest.
+    Among a level's hits the one with the smallest key wins, the first
+    generated on ties: the state a scan of the sorted level would reach
+    first. Only if there is no hit and a
     level follows does the store pass generate the level again, add each
     unseen successor to `seen`, store it as (packed state, move codes)
     with its first generator, and sort the level by keys built then; a

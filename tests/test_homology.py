@@ -97,6 +97,14 @@ def test_complex_validation():
         ChainComplex([1, 1, 1], [[[ONE]], [[ONE]]])
 
 
+@pytest.mark.parametrize("ranks", [[" 1 ", 1, 1], [1, 1.9, 1], [1, 1, True], [1, None, 1]])
+def test_complex_ranks_must_be_ints(ranks):
+    # A rank that is not an int (a string, float, bool or None) is refused,
+    # not converted to one.
+    with pytest.raises(ValueError, match="module rank must be an int"):
+        ChainComplex(ranks, [[[ZERO]], [[ZERO]]])
+
+
 def test_torsion_order_examples():
     diag = [[ONE_MINUS_T, ZERO], [ZERO, ONE_MINUS_T]]
     order = torsion_order(diag)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laurentforms import (
     LaurentPoly,
@@ -56,6 +57,22 @@ def test_involve_is_ring_map(rng):
         assert (p * q).involve() == p.involve() * q.involve()
         assert (p + q).involve() == p.involve() + q.involve()
         assert p.involve().augment() == p.augment()
+
+
+# Exponents and coefficients wide enough that products overlap and cancel terms.
+_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=5).map(L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys, _polys)
+def test_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + ZERO == p == ZERO + p
+    assert p * ONE == p == ONE * p
 
 
 def test_is_unit_examples():

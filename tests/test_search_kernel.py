@@ -6,13 +6,25 @@ successors, `LaurentPoly` itself for packing, `_find_goal_move` for goal
 checks, and full row-major token keys for key order; the mismatch masks
 that successors() carries over from the parent are compared with `_mask`
 computed from scratch; the goal-only successors are compared with the
-full run filtered by `_kind`; `_find_goal_move` itself is compared with
-trying every move in its order.
+full run filtered by `_kind`, and the box polynomials the goal pass's
+block filter leaves out with successors of `_kind` 0; `_find_goal_move`
+itself is compared with trying every move in its order.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from laurentforms import LaurentPoly, SearchBounds, Swap, Transvection, UnitScale, ZERO
+from laurentforms import (
+    LaurentPoly,
+    ONE,
+    SearchBounds,
+    Swap,
+    T,
+    T_INV,
+    Transvection,
+    UnitScale,
+    ZERO,
+    h2_sum,
+)
 from laurentforms.search import (
     _DiagonalShifts,
     _Kernel,
@@ -22,6 +34,8 @@ from laurentforms.search import (
     _unit_scales,
     apply_move,
 )
+
+from conftest import block_form
 
 _polys = st.dictionaries(st.integers(-3, 3), st.integers(-9, 9), max_size=4).map(LaurentPoly)
 
@@ -106,27 +120,113 @@ def test_yielded_masks_equal_recomputed_masks(entries, bounds, data):
             assert mask == kernel._mask(successor)
 
 
+def _goal_pass_cases(entries, bounds, data):
+    """A kernel and the states to expand toward a target: the target is
+    the root, one move from it, a transvection and another move from it,
+    or unrelated; the states are the root and, at depth 3, a successor,
+    maybe the one by that transvection (one move from the target)."""
+    n = len(entries)
+    moves = _canonical_moves(n, bounds)
+    first = data.draw(st.integers(0, n * (n - 1) * len(_poly_box(
+        bounds.transvection_degree, bounds.transvection_coeff)) - 1))  # a transvection
+    second = data.draw(st.sampled_from(moves))
+    near = apply_move(entries, moves[first])
+    target = data.draw(st.sampled_from(
+        [entries, near, apply_move(near, second), data.draw(_hermitian(n))]))
+    kernel = _Kernel(entries, target, bounds, None)
+    root = kernel.state(entries)
+    states = [root]
+    if bounds.max_depth == 3:
+        successors = list(kernel.successors(root))
+        index = data.draw(st.one_of(st.just(first), st.integers(0, len(successors) - 1)))
+        states.append(successors[index][1])
+    return kernel, states
+
+
+def _goal_pass_visits(kernel, state):
+    """The (code, successor, mask) triples of every transvection that the
+    goal pass builds from state, whatever the `_kind` of its mask."""
+    kernel._cached_kind = lambda mask: 1  # an instance attribute, for this kernel only
+    try:
+        size = len(kernel._box)
+        return [triple for triple in kernel.successors(state, goal_only=True)
+                if triple[0] < kernel.n * (kernel.n - 1) * size]
+    finally:
+        del kernel._cached_kind
+
+
 @settings(max_examples=40, deadline=None)
 @given(_hermitian(), _bounds, st.data())
 def test_goal_only_successors_are_those_of_nonzero_kind(entries, bounds, data):
     # The goal pass of the search builds only the successors goal_move()
     # may decode or look up: with goal_only, successors() yields exactly
     # the (code, successor, mask) triples of the full run whose mask is of
-    # a nonzero `_kind`, in the same order. Targets as above, so that all
-    # three kinds occur; from the root and from one of its successors.
-    n = len(entries)
-    moves = _canonical_moves(n, bounds)
-    target = data.draw(st.one_of(st.just(entries),
-                                 st.sampled_from(moves).map(lambda m: apply_move(entries, m)),
-                                 _hermitian(n)))
-    kernel = _Kernel(entries, target, bounds, None)
-    root = kernel.state(entries)
-    states = [root]
-    if bounds.max_depth == 3:
-        states.append(data.draw(st.sampled_from(list(kernel.successors(root))))[1])
+    # a nonzero `_kind`, in the same order. Targets at every distance, so
+    # that all three kinds occur and the block filter both skips blocks and
+    # scans whole boxes; from the root and from one of its successors.
+    kernel, states = _goal_pass_cases(entries, bounds, data)
     for state in states:
         expected = [triple for triple in kernel.successors(state) if kernel._kind(triple[2])]
         assert list(kernel.successors(state, goal_only=True)) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(_hermitian(polys=st.one_of(st.just(ZERO), _polys)), _bounds, st.data())
+def test_block_filter_leaves_out_only_successors_of_kind_zero(entries, bounds, data):
+    # Every box polynomial the goal pass's block filter leaves out gives a
+    # successor of `_kind` 0, and every one it keeps is built as the full
+    # run builds it, under the same code. Cases as above, on states with
+    # many zero entries: a target two moves away puts mismatches in two
+    # rows, so blocks are skipped. Random states seldom leave a block
+    # solved for one p; the genus-2 test below pins one that does.
+    kernel, states = _goal_pass_cases(entries, bounds, data)
+    for state in states:
+        _assert_left_out_are_of_kind_zero(kernel, state)
+
+
+def _assert_left_out_are_of_kind_zero(kernel, state):
+    full = list(kernel.successors(state))
+    visits = _goal_pass_visits(kernel, state)
+    for code, successor, mask in visits:
+        assert full[code] == (code, successor, mask)
+    visited = {code for code, _, _ in visits}
+    for code, _, mask in full[:len(full) - len(kernel._units) - len(kernel._swap_pairs)]:
+        if code not in visited:
+            assert kernel._kind(mask) == 0, kernel.move(code)
+    return visits
+
+
+def test_block_filter_prunes_the_goal_pass_of_a_genus_2_block_form():
+    # The root of a genus-2 search against H2 + H2 on the default box (3124
+    # polynomials), with both diagonal entries nonzero, so that no single
+    # move reaches the target: the goal pass scans the whole box in at most
+    # two of the twelve transvection blocks; every other block builds at
+    # most one p per covering index and per swap mask, each from one exact
+    # division.
+    bounds = SearchBounds(3, 2, 2, 2)
+    for cs in ([ONE + T, T_INV - 2], [2 * T, ONE - T_INV], [T - ONE, ONE]):
+        form = block_form(cs)
+        assert not form.entries[1][1].is_zero and not form.entries[3][3].is_zero
+        kernel = _Kernel(form.entries, h2_sum(2).entries, bounds, None)
+        size, n = len(kernel._box), kernel.n
+        per_block = {}
+        for code, _, _ in _goal_pass_visits(kernel, kernel.state(form.entries)):
+            move = kernel.move(code)
+            per_block[move.i, move.j] = per_block.get((move.i, move.j), 0) + 1
+        scanned = [block for block, count in per_block.items() if count == size]
+        assert len(scanned) <= 2, scanned
+        assert all(count <= n + len(kernel._swap_masks) for count in per_block.values()
+                   if count < size)
+    # A root two transvections from the target, on rows 0 and 2: each of
+    # their blocks is solved for its p (through the entry (0, 1) above the
+    # diagonal and (2, 0) below it), no other transvection is built, and
+    # every one left out gives a successor of `_kind` 0. Both are on j = 1,
+    # so they come in box order: 2t^-1 before t.
+    root = block_form([ONE + T, T_INV - 2]).entries
+    first, second = Transvection(0, 1, T), Transvection(2, 1, 2 * T_INV)
+    kernel = _Kernel(root, apply_move(apply_move(root, first), second), bounds, None)
+    visits = _assert_left_out_are_of_kind_zero(kernel, kernel.state(root))
+    assert [kernel.move(code) for code, _, _ in visits] == [second, first]
 
 
 @settings(max_examples=50, deadline=None)
