@@ -244,7 +244,11 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.terms())
+        # The exponents and coefficients doubled: CPython hashes -1 like -2,
+        # and an even int hashes to itself up to 2^61, so small polynomials
+        # hash distinctly. Ints, not strings, keep the hash independent of
+        # PYTHONHASHSEED.
+        return hash(tuple([2 * x for term in self.terms() for x in term]))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(self.terms())!r})"

@@ -16,10 +16,12 @@ successors on where they differ from the target, a bit mask updated
 from the parent's at the entries the move writes, and builds and
 goal-checks only the few the filter lets through, each state once; a
 transvection block first narrows its box polynomials to those that can
-pass the filter, often to none or to one found by an exact division
-(`_Kernel.successors`). The store pass runs only if the goal pass found
-no hit and another level follows: it generates the level again and stores it as (packed state,
-move codes) pairs, sorted by key. Keys are built only for hits and for
+pass the filter, often to none or to one found by an exact division, or
+to those whose values at t = 1 and t = -1 solve the quadratic equation
+of the diagonal entry there (`_Kernel.successors`). The store pass runs
+only if the goal pass found no hit and another level follows: it
+generates the level again and stores it as (packed state, move codes)
+pairs, sorted by key. Keys are built only for hits and for
 a stored level, and the last level is never stored.
 
 "Found" outcomes are replay-checked before being returned. "Exhausted"
@@ -29,6 +31,7 @@ only means no sequence exists within the given bounds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Union
@@ -461,6 +464,10 @@ class _Packing:
         b, off = self.bits, self.offset
         return sum(c << b * (off - e) for e, c in self.terms(v))
 
+    def at_pm1(self, v: int) -> tuple[int, int]:
+        """(p(1), p(-1)) of the packed entry p: signed digit sums."""
+        return _at_pm1(self.poly(v).terms())
+
 
 @lru_cache(maxsize=8)
 def _packed_box(degree: int, coeff: int, bits: int) -> tuple[tuple, dict, dict]:
@@ -474,6 +481,43 @@ def _packed_box(degree: int, coeff: int, bits: int) -> tuple[tuple, dict, dict]:
         out.append((packed, bar, packed * bar))
     return (tuple(out), {p: k for k, (p, _, _) in enumerate(out)},
             {bar: k for k, (_, bar, _) in enumerate(out)})
+
+
+@lru_cache(maxsize=None)
+def _box_by_pm1(degree: int, coeff: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The box indices, ascending, of the polynomials p by (p(1), p(-1))."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for k, p in enumerate(_poly_box(degree, coeff)):
+        index.setdefault(_at_pm1(p.terms()), []).append(k)
+    return {pair: tuple(ks) for pair, ks in index.items()}
+
+
+def _at_pm1(terms) -> tuple[int, int]:
+    """(p(1), p(-1)) of the polynomial p with these (exponent, coefficient)
+    terms."""
+    return sum(c for _, c in terms), sum(-c if e & 1 else c for e, c in terms)
+
+
+def _integer_roots(a: int, b: int, c: int, bound: int) -> Optional[list[int]]:
+    """The integers s with |s| <= bound and a s^2 + 2 b s + c = 0,
+    ascending; None if every s is one (a = b = c = 0)."""
+    if a == 0:
+        if b == 0:
+            return None if c == 0 else []
+        s, r = divmod(-c, 2 * b)
+        return [s] if not r and abs(s) <= bound else []
+    disc = b * b - a * c  # a quarter of the discriminant
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    roots = set()
+    for top in (-b - root, -b + root):
+        s, r = divmod(top, a)
+        if not r and abs(s) <= bound:
+            roots.add(s)
+    return sorted(roots)
 
 
 def _state_key(state: tuple[int, ...], packing: _Packing) -> str:
@@ -522,9 +566,11 @@ class _Kernel:
         self._at = [[at[min(r, c), max(r, c)] for c in range(n)] for r in range(n)]
         self._box, self._box_p, self._box_bar = _packed_box(
             d, bounds.transvection_coeff, packing.bits)
+        self._box_pm1 = _box_by_pm1(d, bounds.transvection_coeff)
         self._units = _unit_scales(n, bounds.unit_exponent)
         self._swap_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self._target_state = self.state(target)
+        self._target_pm1 = [packing.at_pm1(v) for v in self._target_state]
         self._bits = [1 << k for k in range(len(self._positions))]
         # The positions outside row and column x, by x.
         self._outside = [sum(bit for bit, rc in zip(self._bits, self._positions) if x not in rc)
@@ -590,10 +636,16 @@ class _Kernel:
         - Kind 2 with swap mask S needs the fixed part to equal S outside
           the variable positions, and every (i, c) outside S to match.
         One variable (i, c) that must match admits at most one p, found by
-        one exact division. So the block builds no p, the few p so found,
-        or the whole box. The filter only narrows: every p it keeps gets
-        the exact mask and `_kind` test, so the yielded triples and their
-        order are those of the full run filtered by `_kind`. The code of a
+        one exact division. A case with no such (i, c), as kind 1 always is
+        on rank 2, pins the diagonal (i, i) instead, which must match
+        unless S holds it. Its new value is quadratic in p; at t = 1 and
+        t = -1 it admits only the box p whose (p(1), p(-1)) is a pair of
+        integer roots (`_diagonal_pin`). So the block builds no p, the p
+        so found, or the whole box, the last only where any p may do or
+        the diagonal's equations hold for every p. The filter only
+        narrows: every p it keeps gets the exact mask and `_kind` test, so
+        the yielded triples and their order are those of the full run
+        filtered by `_kind`. The code of a
         kept p with box index k is j * |box| * (n - 1) + k * (n - 1) +
         i - (i > j), as in move().
         """
@@ -695,27 +747,32 @@ class _Kernel:
         as there. The p matching an entry (i, c) solves p * a[j][c] =
         T[i][c] - A[i][c] as an exact division of packed ints: the product
         of every box p with a[j][c] fits the kernel's digits, so its
-        packed product is exact and unique.
+        packed product is exact and unique. A case with no such entry to
+        pin pins the diagonal instead (`_diagonal_pin`), unless the swap
+        mask holds it.
         """
         if not fixed & self._outside[i]:
             return None
         at, bits = self._at, self._bits
         free = [c for c in cols if c != i]
-        pins = set()  # the columns c whose (i, c) must match, one per case
+        pins = set()  # the columns c whose (i, c) must match, one per case; i: the diagonal
         for x in range(self.n):
             if x != i and not fixed & self._outside[x]:
-                c = next((c for c in free if c != x), None)
-                if c is None:
-                    return None
-                pins.add(c)
+                pins.add(next((c for c in free if c != x), i))
         for mask in self._swap_masks:
             if not (fixed ^ mask) & ~variable:
-                c = next((c for c in free if not mask & bits[at[i][c]]), None)
-                if c is None:
+                c = next((c for c in free if not mask & bits[at[i][c]]), i)
+                if c == i and mask & bits[at[i][i]]:
                     return None
                 pins.add(c)
-        shift = self.packing.bits * self.bounds.transvection_degree
         found = set()
+        if i in pins:
+            pins.remove(i)
+            ks = self._diagonal_pin(state, i, j)
+            if ks is None:
+                return None
+            found.update(ks)
+        shift = self.packing.bits * self.bounds.transvection_degree
         for c in pins:
             k = at[i][c]
             x, index = (full[j][c], self._box_p) if c > i else (full[c][j], self._box_bar)
@@ -723,6 +780,31 @@ class _Kernel:
             if not r and q in index:
                 found.add(index[q])
         return sorted(found)
+
+    def _diagonal_pin(self, state, i: int, j: int) -> Optional[list[int]]:
+        """The box indices of the p whose transvection on (i, j) may leave
+        the entry (i, i) equal to the target's, or None if any p may.
+
+        The move makes it a[i][i] + p * a[j][i] + involve(p * a[j][i]) +
+        p * involve(p) * a[j][j]. The involution fixes t = 1 and t = -1, so
+        at each e in {1, -1} the value s = p(e) solves a[j][j](e) s^2 +
+        2 a[j][i](e) s + (a[i][i] - T[i][i])(e) = 0, with |s| <= (2d + 1)c.
+        The box is indexed by (p(1), p(-1)), so the p kept are those of
+        the pairs of integer roots. At a point where every coefficient is
+        0, any s is a root: t = 1 is one whenever the state and the target
+        are congruent to a sum of H2, which vanishes there.
+        """
+        at, at_pm1 = self._at, self.packing.at_pm1
+        bound = (2 * self.bounds.transvection_degree + 1) * self.bounds.transvection_coeff
+        quad, lin = at_pm1(state[at[j][j]]), at_pm1(state[at[i][j]])
+        k = at[i][i]
+        here, goal = at_pm1(state[k]), self._target_pm1[k]
+        roots = [_integer_roots(quad[e], lin[e], here[e] - goal[e], bound) for e in (0, 1)]
+        if roots[0] is None and roots[1] is None:
+            return None
+        every = range(-bound, bound + 1)
+        pairs = itertools.product(*(every if r is None else r for r in roots))
+        return sorted(itertools.chain.from_iterable(self._box_pm1.get(pair, ()) for pair in pairs))
 
     def _remask(self, mask: int, state, written) -> int:
         """mask with its bits at the positions written recomputed for state."""

@@ -16,6 +16,7 @@ from laurentforms import (
     iota,
 )
 from laurentforms.laurent import int_from_json
+from laurentforms.search import _poly_box
 
 from conftest import rand_poly
 
@@ -122,6 +123,14 @@ def test_assoc_eq_matches_mutual_division(rng):
         q = rand_poly(rng, allow_zero=False)
         both = p.divide_exact(q) is not None and q.divide_exact(p) is not None
         assert assoc_eq(p, q) == both
+
+
+def test_box_polynomials_hash_distinctly():
+    # CPython hashes -1 like -2; the hash must not fold such polynomials
+    # together, nor depend on PYTHONHASHSEED (it hashes ints only).
+    box = _poly_box(2, 2)
+    assert len({hash(p) for p in box}) == len(box) == 3124
+    assert hash(LaurentPoly({-1: -1})) != hash(LaurentPoly({-2: -2}))
 
 
 def test_augment_examples():

@@ -7,9 +7,13 @@ checks, and full row-major token keys for key order; the mismatch masks
 that successors() carries over from the parent are compared with `_mask`
 computed from scratch; the goal-only successors are compared with the
 full run filtered by `_kind`, and the box polynomials the goal pass's
-block filter leaves out with successors of `_kind` 0; `_find_goal_move`
-itself is compared with trying every move in its order.
+block filter leaves out with successors of `_kind` 0, also where it pins
+a diagonal entry by its integer roots at t = 1 and t = -1, which are
+compared with a scan; `_find_goal_move` itself is compared with trying
+every move in its order.
 """
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +33,7 @@ from laurentforms.search import (
     _DiagonalShifts,
     _Kernel,
     _find_goal_move,
+    _integer_roots,
     _poly_box,
     _state_key,
     _unit_scales,
@@ -184,6 +189,57 @@ def test_block_filter_leaves_out_only_successors_of_kind_zero(entries, bounds, d
         _assert_left_out_are_of_kind_zero(kernel, state)
 
 
+def _at(p, e):
+    """p(e), for e in {1, -1}."""
+    return p.augment() if e == 1 else sum(-c if k % 2 else c for k, c in p.terms())
+
+
+@st.composite
+def _rank_2_roots(draw):
+    """Rank-2 Hermitian matrices with a nonzero off-diagonal entry; each
+    diagonal entry is zero half the time."""
+    diagonal = st.one_of(st.just(ZERO), _polys)
+    a, c = (p + p.involve() for p in (draw(diagonal), draw(diagonal)))
+    b = draw(_polys.filter(lambda p: not p.is_zero))
+    return ((a, b), (b.involve(), c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_2_roots(), _bounds, st.data())
+def test_diagonal_pin_keeps_every_successor_of_nonzero_kind(entries, bounds, data):
+    # On rank 2, a transvection on (i, j) leaves row i with no entry off
+    # the diagonal to pin when the (j, j) entry differs from the target,
+    # so the goal pass pins the diagonal (i, i), quadratic in p if
+    # a[j][j] != 0 and linear if not. Targets one transvection and maybe
+    # one more move away put the mismatch there; goal-only successors are
+    # the full run filtered by `_kind`, from the root and from one of its
+    # successors.
+    moves = _canonical_moves(2, bounds)
+    transvections = [m for m in moves if isinstance(m, Transvection)]
+    target = apply_move(entries, data.draw(st.sampled_from(transvections)))
+    if data.draw(st.booleans()):
+        target = apply_move(target, data.draw(st.sampled_from(moves)))
+    kernel = _Kernel(entries, target, bounds, None)
+    states = [kernel.state(entries)]
+    if bounds.max_depth == 3:
+        successors = list(kernel.successors(states[0]))
+        states.append(data.draw(st.sampled_from(successors))[1])
+    for state in states:
+        expected = [triple for triple in kernel.successors(state) if kernel._kind(triple[2])]
+        assert list(kernel.successors(state, goal_only=True)) == expected
+
+
+def test_integer_roots_match_a_scan():
+    # Every triple with entries within 6, degenerate ones included, and
+    # bounds on both sides of the roots.
+    values = range(-6, 7)
+    for a, b, c in itertools.product(values, repeat=3):
+        for bound in (0, 1, 3, 6):
+            roots = [s for s in range(-bound, bound + 1) if a * s * s + 2 * b * s + c == 0]
+            expected = None if a == b == c == 0 else roots
+            assert _integer_roots(a, b, c, bound) == expected, (a, b, c, bound)
+
+
 def _assert_left_out_are_of_kind_zero(kernel, state):
     full = list(kernel.successors(state))
     visits = _goal_pass_visits(kernel, state)
@@ -199,24 +255,32 @@ def _assert_left_out_are_of_kind_zero(kernel, state):
 def test_block_filter_prunes_the_goal_pass_of_a_genus_2_block_form():
     # The root of a genus-2 search against H2 + H2 on the default box (3124
     # polynomials), with both diagonal entries nonzero, so that no single
-    # move reaches the target: the goal pass scans the whole box in at most
-    # two of the twelve transvection blocks; every other block builds at
-    # most one p per covering index and per swap mask, each from one exact
-    # division.
+    # move reaches the target: no block of the goal pass scans the whole
+    # box. A block on (1, 0) or (3, 2) can mend the mismatched diagonal
+    # entry (i, i), but row j has no entry off the diagonal to pin, so it
+    # builds exactly the p whose (p(1), p(-1)) solves the diagonal's
+    # quadratic at t = 1 and t = -1 (here linear: a[j][j] = 0); every
+    # other block builds at most one p per covering index and per swap
+    # mask, each from one exact division.
     bounds = SearchBounds(3, 2, 2, 2)
+    target = h2_sum(2).entries
     for cs in ([ONE + T, T_INV - 2], [2 * T, ONE - T_INV], [T - ONE, ONE]):
         form = block_form(cs)
         assert not form.entries[1][1].is_zero and not form.entries[3][3].is_zero
-        kernel = _Kernel(form.entries, h2_sum(2).entries, bounds, None)
-        size, n = len(kernel._box), kernel.n
+        kernel = _Kernel(form.entries, target, bounds, None)
+        box, n = _poly_box(2, 2), kernel.n
         per_block = {}
         for code, _, _ in _goal_pass_visits(kernel, kernel.state(form.entries)):
             move = kernel.move(code)
-            per_block[move.i, move.j] = per_block.get((move.i, move.j), 0) + 1
-        scanned = [block for block, count in per_block.items() if count == size]
-        assert len(scanned) <= 2, scanned
-        assert all(count <= n + len(kernel._swap_masks) for count in per_block.values()
-                   if count < size)
+            per_block.setdefault((move.i, move.j), []).append(move.p)
+        assert all(len(ps) < len(box) for ps in per_block.values())
+        a = form.entries
+        for i, j in ((1, 0), (3, 2)):
+            expected = [p for p in box if all(
+                _at(a[j][j], e) * _at(p, e) ** 2 + 2 * _at(a[j][i], e) * _at(p, e)
+                + _at(a[i][i] - target[i][i], e) == 0 for e in (1, -1))]
+            assert expected and per_block.pop((i, j), []) == expected, (i, j)
+        assert all(len(ps) <= n + len(kernel._swap_masks) for ps in per_block.values())
     # A root two transvections from the target, on rows 0 and 2: each of
     # their blocks is solved for its p (through the entry (0, 1) above the
     # diagonal and (2, 0) below it), no other transvection is built, and
